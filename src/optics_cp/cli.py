@@ -13,16 +13,7 @@ import numpy as np
 
 from .core import CandidateSet, TimeSeries
 from .detectors import BINARY_SEGMENTATION, SEGMENT_NEIGHBORHOOD, DetectorKind
-from .errors import (
-    ConfigError,
-    DomainError,
-    InfeasibleError,
-    LengthError,
-    OpticsError,
-    ParseError,
-    ShapeError,
-    SpecError,
-)
+from .errors import ConfigError, DomainError, InfeasibleError, OpticsError, ParseError
 from .ext import HuberConfig, h_optics, m_optics, ms_optics
 from .inference import BootstrapConfig, copss_estimate, optics
 from .scores import FAMILIES, MEAN, NETWORK, REGRESSION, ScoreModel
@@ -42,31 +33,36 @@ def _read_csv(path: str) -> np.ndarray:
     """Load a numeric CSV, tolerating one optional header row."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if not lines:
         raise ParseError(f"{path} is empty")
     start = 0
     try:
-        [float(tok) for tok in lines[0].split(",")]
+        [float(tok) for tok in lines[0][1].split(",")]
     except ValueError:
         start = 1  # header row
     rows = []
     width = None
-    for ln in lines[start:]:
+    for lineno, ln in lines[start:]:
         try:
             row = [float(tok) for tok in ln.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad numeric row {ln!r}") from None
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: bad numeric row {ln!r}") from None
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ParseError(f"{path}: ragged row {ln!r}")
+            raise ParseError(f"{path}: line {lineno}: ragged row {ln!r}")
         rows.append(row)
     if not rows:
         raise ParseError(f"{path} has no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        lineno, ln = lines[start + bad[0]]
+        raise ParseError(f"{path}: line {lineno}: non-finite value in row {ln!r}")
+    return data
 
 
 def _parse_variant(text: str) -> tuple[str, dict]:
@@ -306,6 +302,8 @@ def _apply_overrides(config: dict, args) -> dict:
 
 def _run_simulate(args) -> int:
     config = _apply_overrides(_simulate_config(args), args)
+    if config["ms_l"] < 1:
+        raise ConfigError(f"--ms-l must be >= 1, got {config['ms_l']}")
     gen = dict(config["generator"])
     gen["taus_star"] = tuple(gen["taus_star"])
     spec = GeneratorSpec(**gen)
@@ -319,7 +317,7 @@ def _run_simulate(args) -> int:
         runs=config["runs"],
         seed=config["seed"],
         k_max=config["k_max"],
-        ms_l=config.get("ms_l", 2),
+        ms_l=config["ms_l"],
         huber=HuberConfig(kappa=config.get("huber_kappa", 1.5)),
         threads=args.threads,
     )
@@ -388,6 +386,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "analyze":
             return _run_analyze(args)
         if args.spec is None and args.preset is None:
@@ -399,8 +399,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (InfeasibleError, ConfigError, LengthError, ShapeError, SpecError,
-            OpticsError, ValueError) as exc:
+    except (OpticsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

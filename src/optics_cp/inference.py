@@ -20,14 +20,14 @@ Numerical determinism: the studentized ratios xi/rms(xi) are snapped to
 a fixed 2^-13 grid before entering the statistic, which makes T_K and
 the bootstrap p-values exactly invariant when all scores are rescaled
 by a positive constant.  Multipliers for replicate b come from a Philox
-counter stream keyed by (seed, b), so serial and parallel execution
-agree bit for bit.
+counter stream keyed by (seed, b), so they are the same however the
+replicates are grouped: the bootstrap draws them in fixed-size chunks of
+replicates, and the output never depends on the thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -46,6 +46,10 @@ LEFTMOST = "leftmost"
 _STUDENT_GRID = 8192.0
 
 _SEED_MASK = (1 << 64) - 1
+
+# Replicates are drawn and multiplied in chunks of about this many bytes
+# of multipliers, so bootstrap memory is O(chunk n) rather than O(B n).
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -168,17 +172,21 @@ def _sq_rows(resid: np.ndarray) -> np.ndarray:
 
 
 def _snap(rows: np.ndarray) -> np.ndarray:
-    return np.round(rows * _STUDENT_GRID) / _STUDENT_GRID
+    """Round rows in place to the 2^-13 grid."""
+    rows *= _STUDENT_GRID
+    return np.divide(np.round(rows, out=rows), _STUDENT_GRID, out=rows)
 
 
-def _xi_from_fits(k: int, rivals: tuple[int, ...], fit_k: np.ndarray, fit_rivals: np.ndarray) -> XiMatrix:
+def _xi_from_fits(k: int, rivals: tuple[int, ...], fit_k: np.ndarray, fit_rivals: np.ndarray,
+                  out: np.ndarray | None = None) -> XiMatrix:
+    # the studentized rows are written into ``out`` when it is given
     xi = fit_k[None, :] - fit_rivals
     delta = xi.mean(axis=1)
     sigma = np.sqrt((xi * xi).mean(axis=1))
-    stud = np.zeros_like(xi)
     nz = sigma > 0
-    if np.any(nz):
-        stud[nz] = _snap(xi[nz] / sigma[nz, None])
+    stud = np.divide(xi, np.where(nz, sigma, 1.0)[:, None], out=out)
+    _snap(stud)
+    stud[~nz] = 0.0
     return XiMatrix(
         k=k,
         rivals=rivals,
@@ -218,38 +226,42 @@ def test_statistic(xm: XiMatrix) -> float:
     return float(rows.max())
 
 
-def _multiplier_matrix(cfg: BootstrapConfig, n: int) -> np.ndarray:
-    if cfg.injected is not None:
-        if cfg.injected.shape[1] != n:
-            raise ConfigError(
-                f"injected multipliers have length {cfg.injected.shape[1]}, expected {n}"
-            )
-        return cfg.injected
-    seed = cfg.seed & _SEED_MASK
-    out = np.empty((cfg.b_reps, n))
-    for b in range(cfg.b_reps):
-        key = np.array([seed, b], dtype=np.uint64)
-        out[b] = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
-    return out
+def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int) -> np.ndarray:
+    """Bootstrap p-values of len(t_obs) candidates at once.
 
-
-def _pvalue(xm: XiMatrix, t_obs: float, mult: np.ndarray, conservative: bool) -> float:
-    if len(xm.rivals) == 0:
-        # nothing to compare against: the candidate cannot be rejected
-        return 1.0
-    boot = (xm.studentized @ mult.T) / math.sqrt(xm.n)
-    t_sharp = boot.max(axis=0)
-    count = int(np.count_nonzero(t_sharp > t_obs))
-    if conservative:
-        return (1 + count) / (1 + mult.shape[0])
-    return count / mult.shape[0]
+    ``stud`` stacks the studentized rival rows of every candidate, candidate
+    g owning an equal block of consecutive rows.  Replicates run in chunks:
+    one GEMM per chunk over all rows, then the max over each block.
+    """
+    if cfg.injected is not None and cfg.injected.shape[1] != n:
+        raise ConfigError(f"injected multipliers have length {cfg.injected.shape[1]}, expected {n}")
+    if stud.shape[0] == 0:
+        # nothing to compare against: no candidate can be rejected
+        return np.ones(len(t_obs))
+    b_reps, seed = cfg.b_reps, cfg.seed & _SEED_MASK
+    rows = max(1, min(b_reps, _CHUNK_BYTES // (8 * n)))
+    buf = np.empty((rows, n)) if cfg.injected is None else None
+    counts = np.zeros(len(t_obs), dtype=np.int64)
+    for lo in range(0, b_reps, rows):
+        c = min(rows, b_reps - lo)
+        if cfg.injected is not None:
+            mult = cfg.injected[lo : lo + c]
+        else:
+            mult = buf[:c]
+            for j in range(c):
+                key = np.array([seed, lo + j], dtype=np.uint64)
+                np.random.Generator(np.random.Philox(key=key)).standard_normal(n, out=mult[j])
+        t_sharp = ((stud @ mult.T) / math.sqrt(n)).reshape(len(t_obs), -1, c).max(axis=1)
+        counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
+    if cfg.conservative:
+        return (1 + counts) / (1 + b_reps)
+    return counts / b_reps
 
 
 def bootstrap_pvalue(xm: XiMatrix, cfg: BootstrapConfig) -> float:
     """Share of multiplier replicates whose statistic strictly exceeds the
     observed one.  Deterministic given the seed."""
-    mult = _multiplier_matrix(cfg, xm.n)
-    return _pvalue(xm, test_statistic(xm), mult, cfg.conservative)
+    return float(_bootstrap(xm.studentized, np.array([test_statistic(xm)]), cfg, xm.n)[0])
 
 
 def confidence_set(table: PValueTable, alpha: float) -> ConfidenceSet:
@@ -268,14 +280,6 @@ def _parity_split_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arr[0 : 2 * n : 2], arr[1 : 2 * n : 2]
 
 
-def _map_indexed(fn: Callable[[int], object], count: int, threads: int) -> list:
-    """Deterministic parallel map over range(count); results in index order."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def run_on_scores(
     scores: ScoreSeries,
     kind: DetectorKind,
@@ -289,7 +293,8 @@ def run_on_scores(
 
     ``row_fit`` maps an (n, d_p) residual matrix to per-point fit values;
     the default is the squared norm.  Robust variants substitute their
-    own measure here and inherit everything else unchanged.
+    own measure here and inherit everything else unchanged.  ``threads``
+    is accepted for compatibility; the bootstrap runs serially.
     """
     if scores.n < 4:
         raise LengthError(f"need at least 4 points to split, got {scores.n}")
@@ -298,28 +303,25 @@ def run_on_scores(
     segs = fit_all_candidates(odd, m, kind)
     candidates = tuple(sorted(segs))
 
-    fits = np.empty((len(candidates), n))
+    n_cand, r = len(candidates), len(candidates) - 1
+    fits = np.empty((n_cand, n))
     for i, k in enumerate(candidates):
         fits[i] = row_fit(even - segment_mean_map(odd, segs[k].boundaries()))
     crit = fits.mean(axis=1)
 
-    delta = np.zeros((len(candidates), len(candidates)))
-    for i in range(len(candidates)):
-        for j in range(len(candidates)):
-            if i != j:
-                delta[i, j] = float((fits[i] - fits[j]).mean())
+    # the studentized rival rows of every candidate, stacked: candidate i
+    # owns rows i*(K-1) .. (i+1)*(K-1) - 1, one per rival in candidate order
+    stud = np.empty((n_cand * r, n))
+    delta = np.zeros((n_cand, n_cand))
+    for i, k in enumerate(candidates):
+        others = [j for j in range(n_cand) if j != i]
+        rivals = tuple(candidates[j] for j in others)
+        xm = _xi_from_fits(k, rivals, fits[i], fits[others], out=stud[i * r : (i + 1) * r])
+        delta[i, others] = xm.delta_hat
 
-    mult = _multiplier_matrix(cfg, n)
-
-    def one_candidate(i: int) -> tuple[float, float]:
-        rivals = tuple(c for c in candidates if c != candidates[i])
-        xm = _xi_from_fits(candidates[i], rivals, fits[i], np.delete(fits, i, axis=0))
-        t_obs = test_statistic(xm)
-        return t_obs, _pvalue(xm, t_obs, mult, cfg.conservative)
-
-    results = _map_indexed(one_candidate, len(candidates), threads)
-    t_stat = np.array([r[0] for r in results])
-    p_hat = np.array([r[1] for r in results])
+    # with no rivals the statistic is 0 by convention, as in test_statistic
+    t_stat = (stud.sum(axis=1) / math.sqrt(n)).reshape(n_cand, r).max(axis=1) if r else np.zeros(1)
+    p_hat = _bootstrap(stud, t_stat, cfg, n)
 
     table = PValueTable(
         candidates=candidates,

@@ -25,7 +25,7 @@ from .core import CandidateSet, TimeSeries
 from .detectors import SEGMENT_NEIGHBORHOOD, DetectorKind
 from .errors import SpecError
 from .ext import HuberConfig, h_optics, m_optics, ms_optics
-from .inference import BootstrapConfig, PValueTable, copss_estimate, optics
+from .inference import _SEED_MASK, BootstrapConfig, PValueTable, copss_estimate, optics
 from .scores import MEAN, REGRESSION, VARIANCE, ScoreModel
 
 MEAN_CHANGE = "mean"
@@ -37,8 +37,6 @@ NOISE_STUDENT_T = "student_t"
 NOISE_SCALED_NORMAL = "scaled_normal"
 
 METHODS = ("optics", "ms", "huber", "mdep", "copss")
-
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,10 @@ def heavy_tail_pair():
 def dependent_pair():
     spec = PRESETS["vary_m"]["spec"]
     det = _preset_detector("vary_m")
+    t0 = time.perf_counter()
     mdep = run_experiment(spec, method="mdep", detector=det, runs=50, seed=SEED)
     plain = run_experiment(spec, method="optics", detector=det, runs=50, seed=SEED)
-    return mdep, plain
+    return mdep, plain, time.perf_counter() - t0
 
 
 # --- criterion 1: exact detector vs exhaustive search ---------------------
@@ -259,9 +260,7 @@ def test_criterion_10_robust_variant_heavy_tails(heavy_tail_pair):
 # --- criterion 11: dependent errors -----------------------------------------
 
 def test_criterion_11_dependent_errors(dependent_pair):
-    t0 = time.perf_counter()
-    mdep, plain = dependent_pair
-    elapsed = time.perf_counter() - t0
+    mdep, plain, elapsed = dependent_pair
     ok_m = mdep.coverage >= 0.85
     ok_p = plain.coverage <= 0.60
     report_line(11, "(m+1)-split coverage under MA(2)", ok_m,

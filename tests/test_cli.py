@@ -70,6 +70,31 @@ def test_analyze_parse_error_exit_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "missing.csv")]) == 2
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_analyze_non_finite_value_is_parse_error(tmp_path, capsys, token):
+    bad = tmp_path / "nonfinite.csv"
+    bad.write_text("x,y\n1.0,2.0\n\n3.0," + token + "\n4.0,5.0\n")
+    assert main(["analyze", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", "unused.csv"],
+    ["simulate", "--preset", "tab1", "--runs", "1", "--output", "-"],
+])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_3(capsys, command, threads):
+    assert main(command + ["--threads", threads]) == 3
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_simulate_ms_l_zero_exit_3(capsys):
+    assert main(["simulate", "--preset", "vary_n", "--runs", "1", "--ms-l", "0",
+                 "--output", "-"]) == 3
+    assert "--ms-l" in capsys.readouterr().err
+
+
 def test_analyze_header_row_tolerated(tmp_path):
     csv = tmp_path / "hdr.csv"
     spec = GeneratorSpec(n_total=200, taus_star=(100,), amplitude=3.0)

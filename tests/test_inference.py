@@ -301,3 +301,136 @@ def test_sigma_dominates_delta():
     for k in (1, 2):
         xm = xi_matrix(k, segs, odd, even)
         assert np.all(xm.sigma_hat >= np.abs(xm.delta_hat) * (1 - 1e-12))
+
+
+# --- chunked bootstrap kernel against the full-matrix reference ---------------
+
+def _reference_run(scores, kind, m, cfg):
+    """The unchunked bootstrap: the whole (B, n) multiplier matrix, then one
+    (K-1, n) @ (n, B) product per candidate and a Python loop for delta."""
+    from optics_cp.core import segment_mean_map
+    from optics_cp.detectors import fit_all_candidates
+    from optics_cp.inference import _xi_from_fits
+
+    half = scores.n // 2
+    odd, even = scores.data[0 : 2 * half : 2], scores.data[1 : 2 * half : 2]
+    segs = fit_all_candidates(odd, m, kind)
+    cands = sorted(segs)
+    fits = np.array([((even - segment_mean_map(odd, segs[k].boundaries())) ** 2).sum(axis=1)
+                     for k in cands])
+    if cfg.injected is not None:
+        mult = cfg.injected
+    else:
+        mult = np.array([
+            np.random.Generator(np.random.Philox(
+                key=np.array([cfg.seed & ((1 << 64) - 1), b], dtype=np.uint64)
+            )).standard_normal(half)
+            for b in range(cfg.b_reps)
+        ])
+    delta = np.zeros((len(cands), len(cands)))
+    t_stat, p_hat = [], []
+    for i, k in enumerate(cands):
+        for j in range(len(cands)):
+            if i != j:
+                delta[i, j] = float((fits[i] - fits[j]).mean())
+        rivals = tuple(c for c in cands if c != k)
+        xm = _xi_from_fits(k, rivals, fits[i], np.delete(fits, i, axis=0))
+        t = studentized_max(xm)
+        if not rivals:
+            p = 1.0
+        else:
+            count = int(np.count_nonzero(
+                ((xm.studentized @ mult.T) / np.sqrt(half)).max(axis=0) > t))
+            p = (1 + count) / (1 + cfg.b_reps) if cfg.conservative else count / cfg.b_reps
+        t_stat.append(t)
+        p_hat.append(p)
+    return np.array(p_hat), np.array(t_stat), delta
+
+
+def _assert_matches_reference(scores, cfg, k_max=4, kind=None):
+    from optics_cp.inference import run_on_scores
+
+    kind = kind or DetectorKind("sn", min_seg=3)
+    _, table = run_on_scores(scores, kind, CandidateSet(k_max), 0.1, cfg)
+    p_ref, t_ref, d_ref = _reference_run(scores, kind, CandidateSet(k_max), cfg)
+    assert np.array_equal(table.p_hat, p_ref)
+    assert np.array_equal(table.t_stat, t_ref)
+    assert np.array_equal(table.delta_hat, d_ref)
+    return table
+
+
+def _noisy_scores(seed, n=240):
+    return ScoreSeries(mean_series(seed, n_obs=n, breaks=(n // 4, n // 2, 3 * n // 4)).data)
+
+
+def test_chunked_bootstrap_b_not_multiple_of_chunk(monkeypatch):
+    from optics_cp import inference
+
+    scores = _noisy_scores(20)
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 7)  # 7 replicates per chunk
+    for b_reps in (50, 54, 57):  # remainders 1, 5 and 1 after full chunks
+        _assert_matches_reference(scores, BootstrapConfig(b_reps=b_reps, seed=b_reps))
+
+
+def test_chunked_bootstrap_b_below_one_chunk():
+    _assert_matches_reference(_noisy_scores(21), BootstrapConfig(b_reps=200, seed=4))
+
+
+def test_chunked_bootstrap_single_replicate():
+    for seed in range(5):
+        _assert_matches_reference(_noisy_scores(22 + seed), BootstrapConfig(b_reps=1, seed=seed))
+
+
+def test_chunked_bootstrap_one_candidate():
+    table = _assert_matches_reference(_noisy_scores(27), BootstrapConfig(b_reps=50, seed=1),
+                                      k_max=1)
+    assert table.p_hat.tolist() == [1.0] and table.t_stat.tolist() == [0.0]
+
+
+def test_chunked_bootstrap_zero_variance_rivals():
+    # the odd half is exactly piecewise constant with two changes, so every
+    # candidate from 2 up fits it exactly and their criterion rows coincide
+    rng = np.random.default_rng(5)
+    level = np.repeat([0.0, 3.0, -1.0], 40)
+    data = np.empty(240)
+    data[0::2] = level
+    data[1::2] = level + rng.standard_normal(120)
+    table = _assert_matches_reference(ScoreSeries(data), BootstrapConfig(b_reps=80, seed=2))
+    assert table.delta_hat[1, 2] == 0.0 and table.delta_hat[2, 3] == 0.0
+
+
+def test_chunked_bootstrap_injected(monkeypatch):
+    from optics_cp import inference
+
+    scores = _noisy_scores(28)
+    inj = np.random.default_rng(9).standard_normal((45, 120))
+    _assert_matches_reference(scores, BootstrapConfig(b_reps=45, seed=0, injected=inj))
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 4)
+    _assert_matches_reference(scores, BootstrapConfig(b_reps=45, seed=0, injected=inj))
+
+
+def test_chunked_bootstrap_conservative(monkeypatch):
+    from optics_cp import inference
+
+    scores = _noisy_scores(29)
+    cfg = BootstrapConfig(b_reps=60, seed=6, conservative=True)
+    _assert_matches_reference(scores, cfg)
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 8)
+    _assert_matches_reference(scores, cfg)
+
+
+def test_bootstrap_memory_independent_of_replicates():
+    import tracemalloc
+
+    from optics_cp.inference import run_on_scores
+
+    n_half, b_reps = 20_000, 500
+    scores = _noisy_scores(30, n=2 * n_half)
+    tracemalloc.start()
+    try:
+        run_on_scores(scores, DetectorKind("bs", min_seg=5), CandidateSet(4), 0.1,
+                      BootstrapConfig(b_reps=b_reps, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < b_reps * n_half * 8 / 2
