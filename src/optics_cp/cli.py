@@ -7,15 +7,15 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .core import CandidateSet, TimeSeries
 from .detectors import BINARY_SEGMENTATION, SEGMENT_NEIGHBORHOOD, DetectorKind
 from .errors import ConfigError, DomainError, InfeasibleError, OpticsError, ParseError
-from .ext import HuberConfig, h_optics, m_optics, ms_optics
-from .inference import BootstrapConfig, copss_estimate, optics
+from .ext import HuberConfig, _run_variant
+from .inference import BootstrapConfig, copss_estimate
 from .scores import FAMILIES, MEAN, NETWORK, REGRESSION, ScoreModel
 from .sim import PRESETS, GeneratorSpec, default_k_max, diagnostics, run_experiment
 
@@ -65,9 +65,10 @@ def _read_csv(path: str) -> np.ndarray:
     return data
 
 
-def _parse_variant(text: str) -> tuple[str, dict]:
+def _parse_variant(text: str) -> tuple[int, HuberConfig | None]:
+    """The split count L and Huber setting (None: squared-norm fit) of a variant."""
     if text == "plain":
-        return "plain", {}
+        return 1, None
     name, _, arg = text.partition(":")
     if name == "ms":
         try:
@@ -76,15 +77,15 @@ def _parse_variant(text: str) -> tuple[str, dict]:
             raise ConfigError(f"variant ms needs an integer split count, got {text!r}") from None
         if L < 1:
             raise ConfigError(f"ms split count must be >= 1, got {L}")
-        return "ms", {"L": L}
+        return L, None
     if name == "huber":
         if arg == "adaptive":
-            return "huber", {"h": HuberConfig(adaptive=True)}
+            return 1, HuberConfig(adaptive=True)
         try:
             kappa = float(arg)
         except ValueError:
             raise ConfigError(f"variant huber needs a threshold, got {text!r}") from None
-        return "huber", {"h": HuberConfig(kappa=kappa)}
+        return 1, HuberConfig(kappa=kappa)
     if name == "mdep":
         try:
             m_dep = int(arg)
@@ -92,7 +93,7 @@ def _parse_variant(text: str) -> tuple[str, dict]:
             raise ConfigError(f"variant mdep needs an integer order, got {text!r}") from None
         if m_dep < 0:
             raise ConfigError(f"mdep order must be >= 0, got {m_dep}")
-        return "mdep", {"m_dep": m_dep}
+        return m_dep + 1, None
     raise ConfigError(f"unknown variant {text!r}")
 
 
@@ -151,28 +152,12 @@ def _run_analyze(args) -> int:
     model = ScoreModel(family)
 
     seed = _resolve_seed(args.seed)
-    variant, vkw = _parse_variant(args.variant)
+    L, huber = _parse_variant(args.variant)
     kind = _detector(args.detector, args.min_seg)
     k_max = args.kmax if args.kmax is not None else default_k_max(n_rows)
-    m = CandidateSet(k_max)
     cfg = BootstrapConfig(b_reps=args.B, seed=seed)
-
-    if variant == "ms":
-        L = vkw["L"]
-        cs, table = ms_optics(ts, model, kind, m, args.alpha, cfg, L=L,
-                              covariates=covariates, threads=args.threads)
-    elif variant == "huber":
-        L = 1
-        cs, table = h_optics(ts, model, kind, m, args.alpha, cfg, h=vkw["h"],
-                             covariates=covariates, threads=args.threads)
-    elif variant == "mdep":
-        L = vkw["m_dep"] + 1
-        cs, table = m_optics(ts, model, kind, m, args.alpha, cfg, m_dep=vkw["m_dep"],
-                             covariates=covariates, threads=args.threads)
-    else:
-        L = 1
-        cs, table = optics(ts, model, kind, m, args.alpha, cfg,
-                           covariates=covariates, threads=args.threads)
+    cs, table = _run_variant(ts, model, kind, CandidateSet(k_max), args.alpha, cfg,
+                             L=L, huber=huber, covariates=covariates)
 
     config_echo = {
         "command": "analyze",
@@ -254,6 +239,46 @@ def _default_simulate_config() -> dict:
     }
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+# spec-file value checks by type name; generator fields use GeneratorSpec's types
+_TYPE_CHECKS = {
+    "str": lambda val: isinstance(val, str),
+    "int": _is_int,
+    "int | None": lambda val: val is None or _is_int(val),
+    "float": lambda val: _is_int(val) or isinstance(val, float),
+    "tuple[int, ...]": lambda val: isinstance(val, list) and all(map(_is_int, val)),
+}
+_SPEC_TYPES = {
+    "method": "str", "detector": "str", "alpha": "float", "huber_kappa": "float",
+    "b_reps": "int", "runs": "int", "seed": "int", "min_seg": "int", "ms_l": "int",
+    "k_max": "int | None",
+}
+
+
+def _check_spec(path: str, loaded) -> dict:
+    """The config object of a loaded spec file, with its value types checked."""
+    config = loaded.get("config", loaded) if isinstance(loaded, dict) else None
+    if not isinstance(config, dict):
+        raise ParseError(f"spec file {path} must hold a JSON object")
+    gen = config.get("generator")
+    if not isinstance(gen, dict):
+        raise ParseError(f"spec file {path} lacks a 'generator' object")
+    gen_types = {f.name: f.type for f in fields(GeneratorSpec)}
+    for key in gen:
+        if key not in gen_types:
+            raise ParseError(f"spec file {path}: unknown generator field {key!r}")
+    for where, obj, types in (("", config, _SPEC_TYPES), ("generator ", gen, gen_types)):
+        for key, type_name in types.items():
+            if key in obj and not _TYPE_CHECKS[type_name](obj[key]):
+                raise ParseError(
+                    f"spec file {path}: {where}{key!r} must be {type_name}, got {obj[key]!r}"
+                )
+    return config
+
+
 def _simulate_config(args) -> dict:
     if args.spec is not None:
         try:
@@ -261,24 +286,19 @@ def _simulate_config(args) -> dict:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot parse spec file {args.spec}: {exc}") from None
-        config = loaded.get("config", loaded)
-        if "generator" not in config:
-            raise ParseError(f"spec file {args.spec} lacks a 'generator' section")
-        return {**_default_simulate_config(), **config}
+        return {**_default_simulate_config(), **_check_spec(args.spec, loaded)}
 
     if args.preset not in PRESETS:
         raise InfeasibleError(
             f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
     preset = PRESETS[args.preset]
-    gen = asdict(preset["spec"])
-    gen["taus_star"] = list(gen["taus_star"])
     config = _default_simulate_config()
     config.update(
         preset=args.preset,
         method=preset["method"],
         min_seg=preset.get("min_seg", 5),
-        generator=gen,
+        generator=asdict(preset["spec"]),
     )
     return config
 
@@ -304,9 +324,7 @@ def _run_simulate(args) -> int:
     config = _apply_overrides(_simulate_config(args), args)
     if config["ms_l"] < 1:
         raise ConfigError(f"--ms-l must be >= 1, got {config['ms_l']}")
-    gen = dict(config["generator"])
-    gen["taus_star"] = tuple(gen["taus_star"])
-    spec = GeneratorSpec(**gen)
+    spec = GeneratorSpec(**config["generator"])
     detector = _detector(config["detector"], config["min_seg"])
     report = run_experiment(
         spec,

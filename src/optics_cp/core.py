@@ -10,7 +10,6 @@ boundary ``t`` means the left block is the first ``t`` points.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +133,19 @@ class CandidateSet:
     def __len__(self) -> int:
         return self.k_max
 
-    @classmethod
-    def default_for(cls, n: int) -> "CandidateSet":
-        """The conventional choice floor(ln n) for a length-n training half."""
-        return cls(max(1, int(math.log(max(n, 2)))))
+
+def split_like(arr: np.ndarray, L: int) -> list[np.ndarray]:
+    """Partition an array's rows by index residue mod L: part r (0-based)
+    keeps rows r, r+L, r+2L, ..., truncated to the common length floor(n/L)."""
+    m = arr.shape[0] // L
+    return [arr[r::L][:m] for r in range(L)]
+
+
+def parity_split(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Odd- and even-position halves (1-based) of an array's rows; an odd
+    final row is dropped."""
+    odd, even = split_like(arr, 2)
+    return odd, even
 
 
 def odd_even_split(ts: TimeSeries) -> SplitPair:
@@ -148,12 +156,10 @@ def odd_even_split(ts: TimeSeries) -> SplitPair:
     """
     if ts.n < 4:
         raise LengthError(f"need at least 4 observations to split, got {ts.n}")
-    n = ts.n // 2
     if ts.n % 2 == 1:
         logger.warning("odd-length input: dropping final observation %d", ts.n)
-    odd = TimeSeries(ts.data[0 : 2 * n : 2])
-    even = TimeSeries(ts.data[1 : 2 * n : 2])
-    return SplitPair(odd=odd, even=even, n=n)
+    odd, even = parity_split(ts.data)
+    return SplitPair(odd=TimeSeries(odd), even=TimeSeries(even), n=odd.shape[0])
 
 
 def order_preserving_l_split(ts: TimeSeries, L: int) -> list[TimeSeries]:
@@ -172,13 +178,7 @@ def order_preserving_l_split(ts: TimeSeries, L: int) -> list[TimeSeries]:
         )
     if ts.n % L != 0:
         logger.debug("dropping %d tail observations in %d-way split", ts.n % L, L)
-    return [TimeSeries(ts.data[r::L][:m]) for r in range(L)]
-
-
-def split_like(arr: np.ndarray, L: int) -> list[np.ndarray]:
-    """Apply the residue-mod-L split to a companion array (e.g. covariates)."""
-    m = arr.shape[0] // L
-    return [arr[r::L][:m] for r in range(L)]
+    return [TimeSeries(sub) for sub in split_like(ts.data, L)]
 
 
 def segment_mean_map(arr: np.ndarray, boundaries) -> np.ndarray:

@@ -1,32 +1,32 @@
 """Extensions of the base procedure: multiple splitting, Huber robustness,
 and m-dependent data.
 
-Multiple splitting runs the base pipeline on L order-preserving
-subsamples and fuses the per-candidate p-values with the Cauchy
-combination, which stays valid under arbitrary dependence between the
-splits.  The m-dependent variant is the same construction with
-L = m + 1, so that observations within each subsample are at least m + 1
-apart and hence independent.  The Huber variant swaps the squared-norm
-fit measure for a coordinatewise Huber loss, leaving the rest of the
-pipeline untouched.
+All three are one construction, run by a single function: the base
+pipeline on L order-preserving subsamples, with an optional change of
+the per-point fit measure, and the per-candidate p-values fused by
+Cauchy combination, which stays valid under arbitrary dependence
+between the splits.  Multiple splitting picks L; the m-dependent
+variant is L = m + 1, so that observations within each subsample are at
+least m + 1 apart and hence independent; the Huber variant keeps L = 1
+and swaps the squared-norm fit for a coordinatewise Huber loss.  The
+public entry points are thin wrappers around that function.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .core import CandidateSet, TimeSeries, order_preserving_l_split, split_like
+from .core import CandidateSet, TimeSeries, order_preserving_l_split, parity_split, split_like
 from .detectors import DetectorKind
-from .errors import ConfigError
 from .inference import (
     BootstrapConfig,
     ConfidenceSet,
     PValueTable,
+    _sq_rows,
     confidence_set,
-    optics,
     run_on_scores,
 )
 from .scores import ScoreModel, transform
@@ -63,6 +63,14 @@ class HuberConfig:
             raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
 
 
+def _cauchy(p: np.ndarray, omega: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise weighted Cauchy combination of an (L, K) p-value matrix:
+    the statistics sum_r w_r * tan((0.5 - p_r) * pi) and the combined
+    p-values 0.5 - arctan(T) / pi."""
+    stat = np.sum(np.asarray(omega)[:, None] * np.tan((0.5 - p) * np.pi), axis=0)
+    return stat, 0.5 - np.arctan(stat) / np.pi
+
+
 def cauchy_combine(pvals, w: CauchyWeights | None = None) -> float:
     """Combine p-values through the weighted Cauchy transform.
 
@@ -73,11 +81,9 @@ def cauchy_combine(pvals, w: CauchyWeights | None = None) -> float:
     p = np.asarray(pvals, dtype=np.float64).ravel()
     if w is None:
         w = CauchyWeights.uniform(len(p))
-    omega = np.asarray(w.omega)
-    if omega.shape != p.shape:
-        raise ValueError(f"{len(omega)} weights for {len(p)} p-values")
-    stat = float(np.sum(omega * np.tan((0.5 - p) * np.pi)))
-    return 0.5 - math.atan(stat) / math.pi
+    if len(w.omega) != len(p):
+        raise ValueError(f"{len(w.omega)} weights for {len(p)} p-values")
+    return float(_cauchy(p[:, None], w.omega)[1][0])
 
 
 def huber_loss(u, kappa: float):
@@ -111,6 +117,65 @@ def _adaptive_kappa(even: np.ndarray, fallback: float) -> float:
     return 1.345 * mad / 0.6745
 
 
+def _run_variant(
+    ts: TimeSeries,
+    model: ScoreModel,
+    kind: DetectorKind,
+    m: CandidateSet,
+    alpha: float,
+    cfg: BootstrapConfig,
+    L: int = 1,
+    huber: HuberConfig | None = None,
+    w: CauchyWeights | None = None,
+    covariates: np.ndarray | None = None,
+) -> tuple[ConfidenceSet, PValueTable]:
+    """The one pipeline behind every variant.
+
+    L = 1 transforms the series and runs the split-fit-bootstrap pipeline
+    with the squared-norm fit, or with the Huber fit when ``huber`` is
+    given (an adaptive threshold is set from the parity split's even
+    half).  L > 1 runs that on each order-preserving subsample r, with
+    its covariate rows and seed XOR r, and Cauchy-combines the
+    per-candidate p-values with weights ``w`` (uniform by default).
+    """
+    if L == 1:
+        scores = transform(ts, model, covariates)
+        row_fit = _sq_rows
+        if huber is not None:
+            kappa = huber.kappa
+            if huber.adaptive:
+                kappa = _adaptive_kappa(parity_split(scores.data)[1], huber.kappa)
+            row_fit = partial(_huber_rows, kappa=kappa)
+        return run_on_scores(scores, kind, m, alpha, cfg, row_fit)
+
+    if w is None:
+        w = CauchyWeights.uniform(L)
+    if len(w.omega) != L:
+        raise ValueError(f"{len(w.omega)} weights for L={L} splits")
+    subs = order_preserving_l_split(ts, L)
+    cov_subs = split_like(np.asarray(covariates), L) if covariates is not None else [None] * L
+    tables = [
+        _run_variant(sub, model, kind, m, alpha, replace(cfg, seed=cfg.seed ^ r),
+                     huber=huber, covariates=cov_subs[r])[1]
+        for r, sub in enumerate(subs)
+    ]
+    # clip to keep tan finite at the discrete bootstrap endpoints 0 and 1
+    lo = 1.0 / (2.0 * cfg.b_reps)
+    clipped = np.clip(np.stack([t.p_hat for t in tables]), lo, 1.0 - lo)
+    stat, combined_p = _cauchy(clipped, w.omega)
+    table = PValueTable(
+        candidates=tables[0].candidates,
+        p_hat=combined_p,
+        t_stat=stat,
+        criterion=np.mean([t.criterion for t in tables], axis=0),
+        segmentations=tables[0].segmentations,
+        delta_hat=np.mean([t.delta_hat for t in tables], axis=0),
+        n=tables[0].n,
+        splits=tuple(tables),
+    )
+    return confidence_set(table, alpha), table
+
+
 def h_optics(
     ts: TimeSeries,
     model: ScoreModel,
@@ -127,59 +192,10 @@ def h_optics(
 
     With kappa above every residual magnitude the loss is half the
     squared norm, the factor cancels in studentization, and the result
-    matches the plain pipeline exactly.
+    matches the plain pipeline exactly.  ``threads`` changes nothing.
     """
-    if cfg is None:
-        cfg = BootstrapConfig()
-    if h is None:
-        h = HuberConfig()
-    scores = transform(ts, model, covariates)
-    kappa = h.kappa
-    if h.adaptive:
-        even = scores.data[1 : 2 * (scores.n // 2) : 2]
-        kappa = _adaptive_kappa(even, h.kappa)
-    return run_on_scores(
-        scores, kind, m, alpha, cfg,
-        row_fit=lambda resid: _huber_rows(resid, kappa),
-        threads=threads,
-    )
-
-
-def _clip_unit(p: np.ndarray, b_reps: int) -> np.ndarray:
-    # keep tan finite at the discrete bootstrap endpoints 0 and 1
-    lo = 1.0 / (2.0 * b_reps)
-    return np.clip(p, lo, 1.0 - lo)
-
-
-def _combine_split_runs(
-    runs: list[tuple[ConfidenceSet, PValueTable]],
-    w: CauchyWeights,
-    alpha: float,
-    b_reps: int,
-) -> tuple[ConfidenceSet, PValueTable]:
-    tables = [table for _, table in runs]
-    candidates = tables[0].candidates
-    for table in tables[1:]:
-        if table.candidates != candidates:
-            raise ConfigError("split runs disagree on the candidate set")
-
-    p_mat = np.stack([t.p_hat for t in tables])  # (L, K)
-    clipped = _clip_unit(p_mat, b_reps)
-    omega = np.asarray(w.omega)[:, None]
-    stat = np.sum(omega * np.tan((0.5 - clipped) * np.pi), axis=0)
-    combined_p = 0.5 - np.arctan(stat) / np.pi
-
-    table = PValueTable(
-        candidates=candidates,
-        p_hat=combined_p,
-        t_stat=stat,
-        criterion=np.mean([t.criterion for t in tables], axis=0),
-        segmentations=tables[0].segmentations,
-        delta_hat=np.mean([t.delta_hat for t in tables], axis=0),
-        n=tables[0].n,
-        splits=tuple(tables),
-    )
-    return confidence_set(table, alpha), table
+    return _run_variant(ts, model, kind, m, alpha, cfg or BootstrapConfig(),
+                        huber=h or HuberConfig(), covariates=covariates)
 
 
 def ms_optics(
@@ -200,27 +216,10 @@ def ms_optics(
     pipeline runs on each with its own parity split (subsample r derives
     its seed as seed XOR r), and the per-candidate p-values are fused by
     Cauchy combination before thresholding.  L = 1 is the base procedure
-    itself.
+    itself.  ``threads`` changes nothing.
     """
-    if cfg is None:
-        cfg = BootstrapConfig()
-    if L == 1:
-        # a combination of one is the identity; run the base pipeline as is
-        return optics(ts, model, kind, m, alpha, cfg, covariates=covariates, threads=threads)
-    if w is None:
-        w = CauchyWeights.uniform(L)
-    if len(w.omega) != L:
-        raise ValueError(f"{len(w.omega)} weights for L={L} splits")
-
-    subs = order_preserving_l_split(ts, L)
-    cov_subs = split_like(np.asarray(covariates), L) if covariates is not None else [None] * L
-    runs = []
-    for r, sub in enumerate(subs):
-        cfg_r = replace(cfg, seed=cfg.seed ^ r)
-        runs.append(
-            optics(sub, model, kind, m, alpha, cfg_r, covariates=cov_subs[r], threads=threads)
-        )
-    return _combine_split_runs(runs, w, alpha, cfg.b_reps)
+    return _run_variant(ts, model, kind, m, alpha, cfg or BootstrapConfig(),
+                        L=L, w=w, covariates=covariates)
 
 
 def m_optics(
@@ -236,12 +235,8 @@ def m_optics(
 ) -> tuple[ConfidenceSet, PValueTable]:
     """Variant for m-dependent data: order-preserving (m+1)-way splitting
     with uniform Cauchy combination.  m_dep = 0 reduces to the base
-    procedure."""
+    procedure.  ``threads`` changes nothing."""
     if m_dep < 0:
         raise ValueError(f"m_dep must be >= 0, got {m_dep}")
-    return ms_optics(
-        ts, model, kind, m_set, alpha, cfg,
-        L=m_dep + 1,
-        covariates=covariates,
-        threads=threads,
-    )
+    return _run_variant(ts, model, kind, m_set, alpha, cfg or BootstrapConfig(),
+                        L=m_dep + 1, covariates=covariates)

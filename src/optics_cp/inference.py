@@ -33,7 +33,14 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import CandidateSet, Segmentation, TimeSeries, data_matrix, segment_mean_map
+from .core import (
+    CandidateSet,
+    Segmentation,
+    TimeSeries,
+    data_matrix,
+    parity_split,
+    segment_mean_map,
+)
 from .detectors import DetectorKind, fit_all_candidates
 from .errors import ConfigError, LengthError, ShapeError
 from .scores import ScoreModel, ScoreSeries, transform
@@ -162,13 +169,19 @@ def criterion(seg: Segmentation, odd_scores: ScoreSeries, even_scores: ScoreSeri
     even = data_matrix(even_scores)
     if odd.shape != even.shape:
         raise ShapeError(f"odd/even shapes differ: {odd.shape} vs {even.shape}")
-    means = segment_mean_map(odd, seg.boundaries())
-    return float(_sq_rows(even - means).mean())
+    return float(_fit_rows(odd, even, seg, _sq_rows).mean())
 
 
 def _sq_rows(resid: np.ndarray) -> np.ndarray:
     """Row-wise squared norms; the plain per-point fit measure."""
     return (resid * resid).sum(axis=1)
+
+
+def _fit_rows(odd: np.ndarray, even: np.ndarray, seg: Segmentation,
+              row_fit: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per-point out-of-sample fit: ``row_fit`` of the even half's residuals
+    from the odd-half segment means of ``seg``."""
+    return row_fit(even - segment_mean_map(odd, seg.boundaries()))
 
 
 def _snap(rows: np.ndarray) -> np.ndarray:
@@ -208,10 +221,7 @@ def xi_matrix(
     if odd.n != even.n or odd.d_p != even.d_p:
         raise ShapeError("odd and even score series must have identical shape")
     rivals = tuple(j for j in sorted(segs) if j != k)
-    fits = {
-        j: _sq_rows(even.data - segment_mean_map(odd.data, segs[j].boundaries()))
-        for j in sorted(segs)
-    }
+    fits = {j: _fit_rows(odd.data, even.data, segs[j], _sq_rows) for j in sorted(segs)}
     fit_rivals = np.array([fits[j] for j in rivals]).reshape(len(rivals), odd.n)
     return _xi_from_fits(k, rivals, fits[k], fit_rivals)
 
@@ -275,11 +285,6 @@ def confidence_set(table: PValueTable, alpha: float) -> ConfidenceSet:
     return ConfidenceSet(alpha=alpha, members=(best,), fallback_used=True)
 
 
-def _parity_split_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = arr.shape[0] // 2
-    return arr[0 : 2 * n : 2], arr[1 : 2 * n : 2]
-
-
 def run_on_scores(
     scores: ScoreSeries,
     kind: DetectorKind,
@@ -287,18 +292,16 @@ def run_on_scores(
     alpha: float,
     cfg: BootstrapConfig,
     row_fit: Callable[[np.ndarray], np.ndarray] = _sq_rows,
-    threads: int = 1,
 ) -> tuple[ConfidenceSet, PValueTable]:
     """Full pipeline from an already-transformed score sequence.
 
     ``row_fit`` maps an (n, d_p) residual matrix to per-point fit values;
     the default is the squared norm.  Robust variants substitute their
-    own measure here and inherit everything else unchanged.  ``threads``
-    is accepted for compatibility; the bootstrap runs serially.
+    own measure here and inherit everything else unchanged.
     """
     if scores.n < 4:
         raise LengthError(f"need at least 4 points to split, got {scores.n}")
-    odd, even = _parity_split_array(scores.data)
+    odd, even = parity_split(scores.data)
     n = odd.shape[0]
     segs = fit_all_candidates(odd, m, kind)
     candidates = tuple(sorted(segs))
@@ -306,7 +309,7 @@ def run_on_scores(
     n_cand, r = len(candidates), len(candidates) - 1
     fits = np.empty((n_cand, n))
     for i, k in enumerate(candidates):
-        fits[i] = row_fit(even - segment_mean_map(odd, segs[k].boundaries()))
+        fits[i] = _fit_rows(odd, even, segs[k], row_fit)
     crit = fits.mean(axis=1)
 
     # the studentized rival rows of every candidate, stacked: candidate i
@@ -350,12 +353,12 @@ def optics(
     Transforms the series to scores, splits by parity, fits every
     candidate count on the odd half, and keeps the candidates whose
     bootstrap p-value exceeds alpha.  Deterministic given the seed in
-    ``cfg`` regardless of thread count.
+    ``cfg``; ``threads`` is accepted for compatibility and changes nothing.
     """
     if cfg is None:
         cfg = BootstrapConfig()
     scores = transform(ts, model, covariates)
-    return run_on_scores(scores, kind, m, alpha, cfg, threads=threads)
+    return run_on_scores(scores, kind, m, alpha, cfg)
 
 
 def copss_estimate(table: PValueTable) -> int:

@@ -34,15 +34,9 @@ FAMILIES = (MEAN, VARIANCE, REGRESSION, COVARIANCE, NETWORK)
 
 @dataclass(frozen=True)
 class ScoreModel:
-    """A model family plus an optional reference parameter.
-
-    The reference parameter ``gamma`` defaults to the zero vector; the
-    supported families' scores do not depend on it, so it is carried for
-    interface completeness only.
-    """
+    """A model family; its scores are gradients at the zero reference parameter."""
 
     family: str
-    gamma: np.ndarray | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:

@@ -24,9 +24,9 @@ import numpy as np
 from .core import CandidateSet, TimeSeries
 from .detectors import SEGMENT_NEIGHBORHOOD, DetectorKind
 from .errors import SpecError
-from .ext import HuberConfig, h_optics, m_optics, ms_optics
-from .inference import _SEED_MASK, BootstrapConfig, PValueTable, copss_estimate, optics
-from .scores import MEAN, REGRESSION, VARIANCE, ScoreModel
+from .ext import HuberConfig, _run_variant
+from .inference import _SEED_MASK, BootstrapConfig, PValueTable, copss_estimate
+from .scores import ScoreModel
 
 MEAN_CHANGE = "mean"
 REGRESSION_BREAK = "regression"
@@ -193,14 +193,6 @@ def generate(spec: GeneratorSpec, seed: int) -> tuple[TimeSeries, np.ndarray | N
     return TimeSeries(scale[labels] * eps), None
 
 
-def _model_for(spec: GeneratorSpec) -> ScoreModel:
-    return ScoreModel({
-        MEAN_CHANGE: MEAN,
-        REGRESSION_BREAK: REGRESSION,
-        VARIANCE_CHANGE: VARIANCE,
-    }[spec.design])
-
-
 def default_k_max(n_total: int) -> int:
     """floor(ln n) of the parity-split half, the conventional candidate cap."""
     return max(1, int(math.log(max(n_total // 2, 2))))
@@ -223,7 +215,7 @@ def run_experiment(
 
     Run i draws its data and multipliers from seed XOR i, so reports are
     reproducible and methods compared on the same seed see identical
-    datasets.
+    datasets.  ``threads`` is accepted for compatibility and changes nothing.
     """
     if method not in METHODS:
         raise SpecError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -233,10 +225,13 @@ def run_experiment(
         detector = DetectorKind(SEGMENT_NEIGHBORHOOD)
     if k_max is None:
         k_max = default_k_max(spec.n_total)
-    if huber is None:
-        huber = HuberConfig()
+    # split count and Huber setting of the method; optics and copss share
+    # the base pipeline
+    L = ms_l if method == "ms" else spec.m_dep + 1 if method == "mdep" else 1
+    h = (huber or HuberConfig()) if method == "huber" else None
     m = CandidateSet(k_max)
-    model = _model_for(spec)
+    # design names coincide with the score families they use
+    model = ScoreModel(spec.design)
 
     records = []
     for i in range(runs):
@@ -244,18 +239,7 @@ def run_experiment(
         ts, cov = generate(spec, run_seed)
         cfg = BootstrapConfig(b_reps=b_reps, seed=run_seed)
         t0 = time.perf_counter()
-        if method == "ms":
-            cs, table = ms_optics(ts, model, detector, m, alpha, cfg, L=ms_l,
-                                  covariates=cov, threads=threads)
-        elif method == "huber":
-            cs, table = h_optics(ts, model, detector, m, alpha, cfg, h=huber,
-                                 covariates=cov, threads=threads)
-        elif method == "mdep":
-            cs, table = m_optics(ts, model, detector, m, alpha, cfg, m_dep=spec.m_dep,
-                                 covariates=cov, threads=threads)
-        else:  # optics and copss share the base pipeline
-            cs, table = optics(ts, model, detector, m, alpha, cfg,
-                               covariates=cov, threads=threads)
+        cs, table = _run_variant(ts, model, detector, m, alpha, cfg, L=L, huber=h, covariates=cov)
         elapsed = time.perf_counter() - t0
         point = copss_estimate(table)
         records.append(RunRecord(

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optics_cp
 from optics_cp import GeneratorSpec, generate
 from optics_cp.cli import main
 
@@ -43,6 +46,24 @@ def test_analyze_minimal_csv(tmp_path):
         assert len(c["taus"]) == c["k"]
         assert c["taus_original_odd"] == [2 * t - 1 for t in c["taus"]]
         assert c["taus_original_even"] == [2 * t for t in c["taus"]]
+
+
+def test_analyze_ms_original_positions(tmp_path):
+    # with L = 3, half-sample boundaries map to the original rows that hold
+    # subsample 0's odd and even halves
+    n_obs = 400
+    csv = write_mean_csv(tmp_path / "data.csv", n_obs=n_obs)
+    out = tmp_path / "result.json"
+    assert main(["analyze", "--input", str(csv), "--variant", "ms:3", "--seed", "7",
+                 "--B", "100", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    rows = np.arange(1, n_obs + 1)[0::3][: n_obs // 3]
+    half = len(rows) // 2
+    odd_rows, even_rows = rows[0::2][:half], rows[1::2][:half]
+    assert doc["split_half"] == half
+    for c in doc["candidates"]:
+        assert c["taus_original_odd"] == [int(odd_rows[t - 1]) for t in c["taus"]]
+        assert c["taus_original_even"] == [int(even_rows[t - 1]) for t in c["taus"]]
 
 
 def test_analyze_byte_identical_reruns(tmp_path):
@@ -236,6 +257,22 @@ def test_simulate_spec_file_without_generator_exit_2(tmp_path):
     assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 2
 
 
+_GENERATOR = {"design": "mean", "amplitude": 2.0, "n_total": 200, "taus_star": [100]}
+
+
+@pytest.mark.parametrize("spec", [
+    [_GENERATOR],
+    {"generator": _GENERATOR, "ms_l": None},
+    {"generator": _GENERATOR, "runs": "2"},
+    {"generator": dict(_GENERATOR, colour="red")},
+], ids=["top_level_array", "ms_l_null", "runs_string", "unknown_generator_key"])
+def test_simulate_badly_typed_spec_file_exit_2(tmp_path, capsys, spec):
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_simulate_stdout(capsys):
     assert main(["simulate", "--preset", "tab1", "--runs", "1", "--B", "60",
                  "--output", "-"]) == 0
@@ -245,10 +282,13 @@ def test_simulate_stdout(capsys):
 
 def test_module_entry_point(tmp_path):
     csv = write_mean_csv(tmp_path / "data.csv")
+    # the child process must import the same package as the tests
+    src = str(Path(optics_cp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "optics_cp.cli", "analyze", "--input", str(csv),
          "--B", "60", "--output", "-"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "optics/1"

@@ -139,9 +139,3 @@ def test_candidate_set_members():
     assert list(m) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         CandidateSet(0)
-
-
-def test_candidate_set_default_grows_with_log():
-    assert CandidateSet.default_for(500).k_max == 6
-    assert CandidateSet.default_for(10).k_max == 2
-    assert CandidateSet.default_for(2).k_max == 1

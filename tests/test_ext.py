@@ -122,6 +122,17 @@ def test_mdep_zero_reproduces_base():
         cs2, t2 = m_optics(ts, *_args(seed), m_dep=0)
         assert cs1.members == cs2.members
         assert np.array_equal(t1.p_hat, t2.p_hat)
+    # m-dependence is exactly (m+1)-way multiple splitting
+    ts = _random_input(5, n_obs=360)
+    for m_dep in (0, 1, 2):
+        cs1, t1 = m_optics(ts, *_args(5), m_dep=m_dep)
+        cs2, t2 = ms_optics(ts, *_args(5), L=m_dep + 1)
+        assert cs1.members == cs2.members
+        for field in ("p_hat", "t_stat", "criterion"):
+            assert np.array_equal(getattr(t1, field), getattr(t2, field))
+        assert len(t1.splits) == len(t2.splits) == (m_dep + 1 if m_dep else 0)
+        for s1, s2 in zip(t1.splits, t2.splits):
+            assert np.array_equal(s1.p_hat, s2.p_hat)
 
 
 def test_huber_large_threshold_reproduces_base():
@@ -164,6 +175,26 @@ def test_ms_equal_split_pvalues_combine_to_same_value():
         assert cauchy_combine([p, p], CauchyWeights.uniform(2)) == pytest.approx(
             p, abs=1e-12
         )
+
+
+def test_ms_regression_splits_match_hand_made_subsamples():
+    # each split of a covariate model is the base pipeline on subsample r,
+    # with covariate rows r, r+2, ... and seed XOR r
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((240, 2))
+    beta = np.repeat([[1.0, -1.0], [-1.0, 1.0]], 120, axis=0)
+    y = (x * beta).sum(axis=1) + rng.standard_normal(240)
+    seed = 21
+    args = (ScoreModel("regression"), DetectorKind("sn", min_seg=5), CandidateSet(3), 0.1)
+    _, table = ms_optics(TimeSeries(y), *args, BootstrapConfig(b_reps=100, seed=seed),
+                         L=2, covariates=x)
+    assert len(table.splits) == 2
+    for r, split in enumerate(table.splits):
+        _, want = optics(TimeSeries(y[r::2]), *args, BootstrapConfig(b_reps=100, seed=seed ^ r),
+                         covariates=x[r::2])
+        for field in ("p_hat", "t_stat", "criterion", "delta_hat"):
+            assert np.array_equal(getattr(split, field), getattr(want, field))
+        assert split.segmentations == want.segmentations
 
 
 def test_mdep_splits_series_into_independent_strides():
