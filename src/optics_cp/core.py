@@ -53,6 +53,8 @@ class TimeSeries:
         arr = _as_matrix(self.data)
         if arr.shape[0] < 2:
             raise LengthError(f"need at least 2 observations, got {arr.shape[0]}")
+        if arr.shape[1] < 1:
+            raise ShapeError("observations need at least one column, got d=0")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

@@ -4,7 +4,8 @@ Both detectors minimize within-segment sum of squared deviations (SSE) on
 a score sequence and return, for a requested count k, the positions of
 the k boundaries.  Binary segmentation splits greedily one boundary at a
 time; the segment-neighborhood dynamic program is exact for every k up
-to a maximum in a single table pass.
+to a maximum in a single table pass, which it fills in blocks of end
+points with one vectorised step per block and boundary count.
 
 Ties are broken deterministically toward the smallest boundary position
 so repeated runs produce identical segmentations.
@@ -21,6 +22,11 @@ from .errors import InfeasibleError
 
 BINARY_SEGMENTATION = "bs"
 SEGMENT_NEIGHBORHOOD = "sn"
+
+# The segment-neighborhood DP fills its tables in blocks of end points, with
+# scratch buffers of about this many bytes each, and at most this many rows.
+_SN_BLOCK_BYTES = 1 << 20
+_SN_BLOCK_MAX_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -72,14 +78,6 @@ def segment_cost(cache: CostCache, a: int, b: int) -> float:
     diff = cache.cum[b] - cache.cum[a]
     val = cache.cum_sq[b] - cache.cum_sq[a] - float(diff @ diff) / (b - a)
     return max(val, 0.0)
-
-
-def _costs_ending_at(cache: CostCache, t: int) -> np.ndarray:
-    """Vector of segment_cost(a, t] for a = 0..t-1."""
-    diff = cache.cum[t] - cache.cum[:t]
-    sq = cache.cum_sq[t] - cache.cum_sq[:t]
-    lengths = t - np.arange(t)
-    return np.maximum(sq - np.sum(diff * diff, axis=1) / lengths, 0.0)
 
 
 def _costs_starting_at(cache: CostCache, a: int, b_vec: np.ndarray) -> np.ndarray:
@@ -162,23 +160,60 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
 
     cost[j, t] is the minimal SSE of the first t points split by exactly
     j boundaries; back[j, t] is the smallest last boundary achieving it.
+
+    End points t run in blocks of rows.  Each block builds its segment
+    costs C[t, s] = SSE of (s, t] once, with C = inf where s > t - min_seg,
+    and then fills layer j for all of its rows with one addition of
+    cost[j - 1] and one row-wise argmin (first index, so ties go to the
+    smallest boundary).  Layer j - 1 of a block is complete before
+    layer j reads it, because every boundary s lies below t.  The
+    scratch buffers are allocated once per call and sized by
+    ``_SN_BLOCK_BYTES``.
     """
-    n = cache.n
+    n, d_p = cache.n, cache.d_p
     cost = np.full((k_max + 1, n + 1), np.inf)
     back = np.zeros((k_max + 1, n + 1), dtype=np.int64)
-    for t in range(1, n + 1):
-        col = _costs_ending_at(cache, t)
-        if t >= min_seg:
-            cost[0, t] = col[0]
-        j_hi = min(k_max, t // min_seg - 1)
-        for j in range(1, j_hi + 1):
-            lo, hi = j * min_seg, t - min_seg
-            if hi < lo:
-                continue
-            window = cost[j - 1, lo : hi + 1] + col[lo : hi + 1]
-            i = int(np.argmin(window))
-            cost[j, t] = window[i]
-            back[j, t] = lo + i
+    width = n + 1 - min_seg  # admissible last boundaries s = 0 .. n - min_seg
+    if width < 1:
+        return cost, back
+    b = max(1, min(_SN_BLOCK_MAX_ROWS, _SN_BLOCK_BYTES // (8 * width * max(d_p, 1))))
+    diff = np.empty((b, width, d_p))
+    c = np.empty((b, width))
+    tmp = np.empty((b, width))
+    w = np.empty(b * width)  # reshaped per use: argmin copies non-contiguous input
+    pos = np.arange(n + 1, dtype=np.float64)
+    # the last b - 1 columns a block reaches lie past the last admissible
+    # boundary of its earlier rows: row r may not use column q of them if q >= r
+    mask = np.arange(b - 1)[None, :] >= np.arange(b)[:, None]
+    # entries with s >= t divide by a length <= 0 before they are masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t0 in range(min_seg, n + 1, b):
+            t1 = min(t0 + b, n + 1)
+            rows, m = t1 - t0, t1 - min_seg  # columns 0 .. m - 1 reach some row
+            dv, cv, tv = diff[:rows, :m], c[:rows, :m], tmp[:rows, :m]
+            # C = max(sq - sum(diff^2) / length, 0) with the operations of a single
+            # end point's cost vector, entry for entry, so every entry is bitwise equal
+            np.subtract(cache.cum[t0:t1, None, :], cache.cum[None, :m, :], out=dv)
+            np.subtract(cache.cum_sq[t0:t1, None], cache.cum_sq[None, :m], out=cv)
+            np.multiply(dv, dv, out=dv)
+            np.sum(dv, axis=2, out=tv)
+            lengths = w[: rows * m].reshape(rows, m)
+            np.subtract(pos[t0:t1, None], pos[None, :m], out=lengths)
+            np.divide(tv, lengths, out=tv)
+            np.subtract(cv, tv, out=cv)
+            np.maximum(cv, 0.0, out=cv)
+            np.copyto(cv[:, m - rows + 1 :], np.inf, where=mask[:rows, : rows - 1])
+            cost[0, t0:t1] = cv[:, 0]
+            for j in range(1, k_max + 1):
+                lo = j * min_seg
+                r0 = max(0, lo + min_seg - t0)  # first row with t >= (j + 1) min_seg
+                if r0 >= rows:
+                    break
+                win = w[: (rows - r0) * (m - lo)].reshape(rows - r0, m - lo)
+                np.add(cv[r0:, lo:], cost[j - 1, lo:m], out=win)
+                idx = np.argmin(win, axis=1)
+                cost[j, t0 + r0 : t1] = np.take_along_axis(win, idx[:, None], axis=1)[:, 0]
+                back[j, t0 + r0 : t1] = idx + lo
     return cost, back
 
 

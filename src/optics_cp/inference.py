@@ -22,7 +22,8 @@ the bootstrap p-values exactly invariant when all scores are rescaled
 by a positive constant.  Multipliers for replicate b come from a Philox
 counter stream keyed by (seed, b), so they are the same however the
 replicates are grouped: the bootstrap draws them in fixed-size chunks of
-replicates, and the output never depends on the thread count.
+replicates from one generator re-keyed per replicate, and the output
+never depends on the thread count.
 """
 
 from __future__ import annotations
@@ -250,7 +251,14 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
         return np.ones(len(t_obs))
     b_reps, seed = cfg.b_reps, cfg.seed & _SEED_MASK
     rows = max(1, min(b_reps, _CHUNK_BYTES // (8 * n)))
-    buf = np.empty((rows, n)) if cfg.injected is None else None
+    if cfg.injected is None:
+        buf = np.empty((rows, n))
+        # one generator, re-keyed to (seed, b) with a zero counter and an empty
+        # buffer per replicate: the same stream as a fresh Philox(key=(seed, b))
+        bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        gen = np.random.Generator(bitgen)
+        state = bitgen.state
+        key = state["state"]["key"]
     counts = np.zeros(len(t_obs), dtype=np.int64)
     for lo in range(0, b_reps, rows):
         c = min(rows, b_reps - lo)
@@ -259,8 +267,9 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
         else:
             mult = buf[:c]
             for j in range(c):
-                key = np.array([seed, lo + j], dtype=np.uint64)
-                np.random.Generator(np.random.Philox(key=key)).standard_normal(n, out=mult[j])
+                key[1] = lo + j
+                bitgen.state = state
+                gen.standard_normal(n, out=mult[j])
         t_sharp = ((stud @ mult.T) / math.sqrt(n)).reshape(len(t_obs), -1, c).max(axis=1)
         counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
     if cfg.conservative:

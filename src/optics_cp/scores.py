@@ -150,9 +150,14 @@ def transform(ts: TimeSeries, model: ScoreModel, covariates: np.ndarray | None =
     if model.family == COVARIANCE:
         if ts.d < 2:
             raise ShapeError(f"covariance scores require d >= 2, got d={ts.d}")
-        rows, cols = _vech_indices(ts.d)
-        outer = z[:, :, None] * z[:, None, :]
-        return ScoreSeries(outer[:, rows, cols])
+        # vech(z z') one column of the lower triangle at a time, straight into
+        # the output: no (n, d, d) outer products and no gathered copies of z
+        out = np.empty((ts.n, model.score_dim(ts.d)))
+        pos = 0
+        for j in range(ts.d):
+            np.multiply(z[:, j:], z[:, j : j + 1], out=out[:, pos : pos + ts.d - j])
+            pos += ts.d - j
+        return ScoreSeries(out)
 
     # network: each row is a flattened symmetric d x d matrix
     side = int(round(np.sqrt(ts.d)))

@@ -63,6 +63,8 @@ class GeneratorSpec:
             raise SpecError("taus_star must be strictly increasing")
         if taus and (taus[0] <= 0 or taus[-1] >= self.n_total):
             raise SpecError("taus_star must lie strictly inside (0, n_total)")
+        if self.d < 1:
+            raise SpecError(f"d must be >= 1, got {self.d}")
         if self.m_dep < 0:
             raise SpecError(f"m_dep must be >= 0, got {self.m_dep}")
         if self.m_dep > 0 and self.design != MEAN_CHANGE:

@@ -273,6 +273,14 @@ def test_simulate_badly_typed_spec_file_exit_2(tmp_path, capsys, spec):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_zero_dimensional_spec_exit_3(tmp_path, capsys):
+    spec_file = tmp_path / "d0.json"
+    spec_file.write_text(json.dumps({"generator": {"design": "mean", "d": 0}, "runs": 1}))
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_simulate_stdout(capsys):
     assert main(["simulate", "--preset", "tab1", "--runs", "1", "--B", "60",
                  "--output", "-"]) == 0

@@ -139,3 +139,13 @@ def test_candidate_set_members():
     assert list(m) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         CandidateSet(0)
+
+
+def test_time_series_rejects_zero_columns():
+    from optics_cp import BootstrapConfig, DetectorKind, ScoreModel, optics
+
+    with pytest.raises(ShapeError, match="d=0"):
+        TimeSeries(np.zeros((100, 0)))
+    with pytest.raises(ShapeError):
+        optics(TimeSeries(np.zeros((100, 0))), ScoreModel("mean"), DetectorKind("sn"),
+               CandidateSet(2), 0.1, BootstrapConfig(b_reps=20))

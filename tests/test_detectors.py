@@ -182,3 +182,93 @@ def test_detector_kind_validation():
         DetectorKind("pelt")
     with pytest.raises(ValueError):
         DetectorKind("sn", min_seg=1)
+
+
+# --- blocked DP against the per-end-point reference ---------------------------
+
+def _sn_tables_per_t(cache, k_max, min_seg):
+    """The DP one end point t at a time: segment costs ending at t, then
+    one argmin per layer.  The reference for the blocked ``_sn_tables``."""
+    n = cache.n
+    cost = np.full((k_max + 1, n + 1), np.inf)
+    back = np.zeros((k_max + 1, n + 1), dtype=np.int64)
+    for t in range(1, n + 1):
+        diff = cache.cum[t] - cache.cum[:t]
+        sq = cache.cum_sq[t] - cache.cum_sq[:t]
+        lengths = t - np.arange(t)
+        col = np.maximum(sq - np.sum(diff * diff, axis=1) / lengths, 0.0)
+        if t >= min_seg:
+            cost[0, t] = col[0]
+        for j in range(1, min(k_max, t // min_seg - 1) + 1):
+            lo, hi = j * min_seg, t - min_seg
+            window = cost[j - 1, lo : hi + 1] + col[lo : hi + 1]
+            i = int(np.argmin(window))
+            cost[j, t] = window[i]
+            back[j, t] = lo + i
+    return cost, back
+
+
+def _dp_data(kind, n, d_p, rng):
+    if kind == "random":
+        return rng.standard_normal((n, d_p)) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "integer":  # many exactly tied segment costs
+        return rng.integers(-2, 3, size=(n, d_p)).astype(float)
+    return np.zeros((n, d_p))
+
+
+@pytest.mark.parametrize("kind", ["random", "integer", "zero"])
+@pytest.mark.parametrize("d_p", [1, 2, 6])
+@pytest.mark.parametrize("min_seg", [2, 5, 20])
+def test_blocked_sn_tables_match_per_t_reference(monkeypatch, kind, d_p, min_seg):
+    from optics_cp import detectors
+    from optics_cp.detectors import _sn_tables
+
+    rng = np.random.default_rng([d_p, min_seg, len(kind)])
+    for n, k_max in ((4 * min_seg + 1, 3), (131, 9), (203, 5)):
+        cache = CostCache.from_scores(_dp_data(kind, n, d_p, rng))
+        want = _sn_tables_per_t(cache, k_max, min_seg)
+        width = n + 1 - min_seg
+        # one row per block; rows just under, at and over min_seg; the default
+        for rows in (1, min_seg - 1, min_seg, min_seg + 1, 7, None):
+            budget = 8 * width * d_p * rows if rows else 1 << 20
+            monkeypatch.setattr(detectors, "_SN_BLOCK_BYTES", budget)
+            cost, back = _sn_tables(cache, k_max, min_seg)
+            assert np.array_equal(cost, want[0]), (n, k_max, rows)
+            assert np.array_equal(back, want[1]), (n, k_max, rows)
+
+
+def test_blocked_sn_tables_short_series():
+    from optics_cp.detectors import _sn_tables
+
+    for n in range(1, 12):
+        cache = CostCache.from_scores(np.arange(n, dtype=float) % 3)
+        for k_max in (1, 4):
+            want = _sn_tables_per_t(cache, k_max, 5)
+            cost, back = _sn_tables(cache, k_max, 5)
+            assert np.array_equal(cost, want[0]) and np.array_equal(back, want[1])
+
+
+def test_sn_tables_scratch_is_bounded():
+    import tracemalloc
+
+    from optics_cp import detectors
+    from optics_cp.detectors import _sn_tables
+
+    n, k_max = 8000, 8
+    cache = CostCache.from_scores(np.random.default_rng(8).standard_normal(n))
+    tracemalloc.start()
+    try:
+        _sn_tables(cache, k_max, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two returned tables, four scratch buffers (diff, C, a temporary and
+    # the window) of at most one budget each, the (n + 1) float positions,
+    # and 256 KiB of transients: numpy's iterator buffers for a ufunc with
+    # broadcast inputs (8,192 elements for each of three operands, 192 KiB)
+    # plus the per-block row vectors and the row mask.  Sized per block
+    # without the budget (64 rows of 8,000), the buffers alone would take
+    # 16 MiB.
+    tables = 2 * (k_max + 1) * (n + 1) * 8
+    bound = tables + 4 * detectors._SN_BLOCK_BYTES + (n + 1) * 8 + (256 << 10)
+    assert peak < bound

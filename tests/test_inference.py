@@ -323,7 +323,7 @@ def _reference_run(scores, kind, m, cfg):
     else:
         mult = np.array([
             np.random.Generator(np.random.Philox(
-                key=np.array([cfg.seed & ((1 << 64) - 1), b], dtype=np.uint64)
+                key=np.array([cfg.seed % (1 << 64), b], dtype=np.uint64)
             )).standard_normal(half)
             for b in range(cfg.b_reps)
         ])
@@ -417,6 +417,17 @@ def test_chunked_bootstrap_conservative(monkeypatch):
     _assert_matches_reference(scores, cfg)
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 8)
     _assert_matches_reference(scores, cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 63, (1 << 64) + 5])
+def test_rekeyed_multipliers_at_awkward_seeds(monkeypatch, seed):
+    # the reference builds a fresh Philox per replicate, keyed (seed mod 2^64, b);
+    # the kernel re-keys one generator, across chunks of 16 replicates
+    from optics_cp import inference
+
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 16)
+    for b_reps in (16, 37):
+        _assert_matches_reference(_noisy_scores(31), BootstrapConfig(b_reps=b_reps, seed=seed))
 
 
 def test_bootstrap_memory_independent_of_replicates():

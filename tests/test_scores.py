@@ -53,6 +53,34 @@ def test_covariance_transform_example():
     assert out.data[0].tolist() == [1.0, 2.0, 4.0]
 
 
+def test_covariance_transform_equals_outer_product_vech():
+    from optics_cp.scores import _vech_indices
+
+    rng = np.random.default_rng(11)
+    for n, d in ((7, 2), (50, 5), (33, 12)):
+        z = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        rows, cols = _vech_indices(d)
+        want = (z[:, :, None] * z[:, None, :])[:, rows, cols]
+        out = transform(TimeSeries(z), ScoreModel("covariance"))
+        assert np.array_equal(out.data, want)
+
+
+def test_covariance_transform_skips_outer_products():
+    import tracemalloc
+
+    n, d = 2000, 40
+    ts = TimeSeries(np.random.default_rng(12).standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        transform(ts, ScoreModel("covariance"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (n, d, d) outer products alone take n d^2 8 bytes (25.6 MB); the
+    # scores take n d (d + 1) / 2 8 bytes (13.1 MB) plus their finiteness mask
+    assert peak < n * d * d * 8
+
+
 def test_network_transform_vechs_flattened_matrix():
     mat = np.array([[0.0, 1.0], [1.0, 0.5]])
     data = np.tile(mat.ravel(), (3, 1))

@@ -99,6 +99,9 @@ def test_spec_validation():
         GeneratorSpec(design="regression", m_dep=1)
     with pytest.raises(SpecError):
         GeneratorSpec(design="variance", d=2)
+    for d in (0, -1):
+        with pytest.raises(SpecError, match="d must be >= 1"):
+            GeneratorSpec(d=d)
 
 
 def test_single_run_report():
