@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_DOMAIN = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report Ctrl-C
 
 SCHEMA = "optics/1"
 
@@ -33,9 +34,10 @@ def _read_csv(path: str) -> np.ndarray:
     """Load a numeric CSV, tolerating one optional header row."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ParseError(f"{path} is empty")
     start = 0
@@ -43,6 +45,14 @@ def _read_csv(path: str) -> np.ndarray:
         [float(tok) for tok in lines[0][1].split(",")]
     except ValueError:
         start = 1  # header row
+    # float() also reads "1_0" and non-ASCII digits, but numbers here are plain
+    # ASCII decimal or scientific notation; the whole text is checked first,
+    # which costs next to nothing, and the lines only when it holds such a character
+    if "_" in text or not text.isascii():
+        stray = next(((i, ln) for i, ln in lines[start:] if "_" in ln or not ln.isascii()), None)
+        if stray is not None:
+            raise ParseError(f"{path}: line {stray[0]}: underscore or non-ASCII character "
+                             f"in numeric row {stray[1]!r}")
     rows = []
     width = None
     for lineno, ln in lines[start:]:
@@ -377,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--variant", default="plain", help="plain, ms:L, huber:kappa, or mdep:m")
     pa.add_argument("--seed", type=int, default=None, help="falls back to OPTICS_SEED, then 0")
     pa.add_argument("--min-seg", dest="min_seg", type=int, default=5)
-    pa.add_argument("--threads", type=int, default=1)
+    pa.add_argument("--threads", type=int, default=1,
+                    help="must be >= 1; ignored: an analysis runs in one process")
     pa.add_argument("--output", default="-", help="output path, '-' for stdout")
     pa.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -394,7 +405,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--min-seg", dest="min_seg", type=int, default=None)
     ps.add_argument("--ms-l", dest="ms_l", type=int, default=None)
     ps.add_argument("--mdep", type=int, default=None)
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--threads", type=int, default=1,
+                    help="processes that perform the Monte Carlo runs (default 1); "
+                         "never changes the results")
     ps.add_argument("--output", default="-", help="file prefix for .csv/.json, '-' for stdout")
     return parser
 
@@ -420,6 +433,9 @@ def main(argv=None) -> int:
     except (OpticsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CandidateSet, Segmentation, data_matrix
-from .errors import InfeasibleError
+from .errors import DomainError, InfeasibleError
 
 BINARY_SEGMENTATION = "bs"
 SEGMENT_NEIGHBORHOOD = "sn"
@@ -65,9 +65,18 @@ class CostCache:
         arr = data_matrix(scores)
         n, d_p = arr.shape
         cum = np.zeros((n + 1, d_p))
-        np.cumsum(arr, axis=0, out=cum[1:])
         cum_sq = np.zeros(n + 1)
-        np.cumsum(np.sum(arr * arr, axis=1), out=cum_sq[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(arr, axis=0, out=cum[1:])
+            np.cumsum(np.sum(arr * arr, axis=1), out=cum_sq[1:])
+            # by Cauchy-Schwarz a segment's ||cum[b] - cum[a]||^2 is at most
+            # n * cum_sq[n], so this bounds every square the segment costs form
+            bound = n * cum_sq[n]
+        if not np.isfinite(bound):
+            raise DomainError(
+                f"squared scores overflow float64 in the segment costs "
+                f"(n={n}, sum of squares {cum_sq[n]:.3g})"
+            )
         return cls(cum=cum, cum_sq=cum_sq, n=n, d_p=d_p)
 
 

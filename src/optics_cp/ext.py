@@ -185,14 +185,13 @@ def h_optics(
     cfg: BootstrapConfig | None = None,
     h: HuberConfig | None = None,
     covariates: np.ndarray | None = None,
-    threads: int = 1,
 ) -> tuple[ConfidenceSet, PValueTable]:
     """Huber-robust variant: per-point fits use the coordinatewise Huber
     loss of the residuals instead of their squared norm.
 
     With kappa above every residual magnitude the loss is half the
     squared norm, the factor cancels in studentization, and the result
-    matches the plain pipeline exactly.  ``threads`` changes nothing.
+    matches the plain pipeline exactly.
     """
     return _run_variant(ts, model, kind, m, alpha, cfg or BootstrapConfig(),
                         huber=h or HuberConfig(), covariates=covariates)
@@ -208,7 +207,6 @@ def ms_optics(
     L: int = 2,
     w: CauchyWeights | None = None,
     covariates: np.ndarray | None = None,
-    threads: int = 1,
 ) -> tuple[ConfidenceSet, PValueTable]:
     """Multiple-splitting variant.
 
@@ -216,7 +214,7 @@ def ms_optics(
     pipeline runs on each with its own parity split (subsample r derives
     its seed as seed XOR r), and the per-candidate p-values are fused by
     Cauchy combination before thresholding.  L = 1 is the base procedure
-    itself.  ``threads`` changes nothing.
+    itself.
     """
     return _run_variant(ts, model, kind, m, alpha, cfg or BootstrapConfig(),
                         L=L, w=w, covariates=covariates)
@@ -231,11 +229,10 @@ def m_optics(
     cfg: BootstrapConfig | None = None,
     m_dep: int = 0,
     covariates: np.ndarray | None = None,
-    threads: int = 1,
 ) -> tuple[ConfidenceSet, PValueTable]:
     """Variant for m-dependent data: order-preserving (m+1)-way splitting
     with uniform Cauchy combination.  m_dep = 0 reduces to the base
-    procedure.  ``threads`` changes nothing."""
+    procedure."""
     if m_dep < 0:
         raise ValueError(f"m_dep must be >= 0, got {m_dep}")
     return _run_variant(ts, model, kind, m_set, alpha, cfg or BootstrapConfig(),

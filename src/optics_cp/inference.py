@@ -22,13 +22,13 @@ the bootstrap p-values exactly invariant when all scores are rescaled
 by a positive constant.  Multipliers for replicate b come from a Philox
 counter stream keyed by (seed, b), so they are the same however the
 replicates are grouped: the bootstrap draws them in fixed-size chunks of
-replicates from one generator re-keyed per replicate, and the output
-never depends on the thread count.
+replicates from one generator re-keyed per replicate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -43,7 +43,7 @@ from .core import (
     segment_mean_map,
 )
 from .detectors import DetectorKind, fit_all_candidates
-from .errors import ConfigError, LengthError, ShapeError
+from .errors import ConfigError, DomainError, LengthError, ShapeError
 from .scores import ScoreModel, ScoreSeries, transform
 
 RIGHTMOST = "rightmost"
@@ -181,8 +181,23 @@ def _sq_rows(resid: np.ndarray) -> np.ndarray:
 def _fit_rows(odd: np.ndarray, even: np.ndarray, seg: Segmentation,
               row_fit: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Per-point out-of-sample fit: ``row_fit`` of the even half's residuals
-    from the odd-half segment means of ``seg``."""
-    return row_fit(even - segment_mean_map(odd, seg.boundaries()))
+    from the odd-half segment means of ``seg``.
+
+    Raises DomainError when a fit overflows or is too large for the
+    bootstrap to square the difference of two fits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = row_fit(even - segment_mean_map(odd, seg.boundaries()))
+    # fits are nonnegative, so a difference of two is at most the larger; the
+    # studentization sums n squared differences, which stays finite below this
+    limit = math.sqrt(sys.float_info.max / (2 * max(len(fit), 1)))
+    top = fit.max(initial=0.0)
+    if not top <= limit:
+        raise DomainError(
+            f"squared scores overflow float64: a per-point fit of {top:.3g} "
+            f"exceeds {limit:.3g}, the largest the bootstrap can square and sum"
+        )
+    return fit
 
 
 def _snap(rows: np.ndarray) -> np.ndarray:
@@ -355,14 +370,13 @@ def optics(
     alpha: float = 0.1,
     cfg: BootstrapConfig | None = None,
     covariates: np.ndarray | None = None,
-    threads: int = 1,
 ) -> tuple[ConfidenceSet, PValueTable]:
     """Confidence set for the number of change-points in ``ts``.
 
     Transforms the series to scores, splits by parity, fits every
     candidate count on the odd half, and keeps the candidates whose
     bootstrap p-value exceeds alpha.  Deterministic given the seed in
-    ``cfg``; ``threads`` is accepted for compatibility and changes nothing.
+    ``cfg``.
     """
     if cfg is None:
         cfg = BootstrapConfig()

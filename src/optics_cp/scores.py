@@ -109,6 +109,17 @@ def _vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _formed_scores(scores: np.ndarray, model: ScoreModel, *inputs: np.ndarray) -> ScoreSeries:
+    """Wrap scores formed from ``inputs`` by products; a product that
+    overflowed finite inputs is a DomainError."""
+    try:
+        return ScoreSeries(scores)
+    except ValueError:
+        if all(np.isfinite(a).all() for a in inputs):
+            raise DomainError(f"{model.family} scores overflow float64") from None
+        raise
+
+
 def transform(ts: TimeSeries, model: ScoreModel, covariates: np.ndarray | None = None) -> ScoreSeries:
     """Compute the score sequence for a series under the given model family.
 
@@ -129,10 +140,11 @@ def transform(ts: TimeSeries, model: ScoreModel, covariates: np.ndarray | None =
         return ScoreSeries(z)
 
     if model.family == VARIANCE:
-        sq = np.sum(z * z, axis=1)
+        with np.errstate(over="ignore"):
+            sq = np.sum(z * z, axis=1)
         if np.any(sq == 0.0):
             raise DomainError("variance scores are undefined at zero observations")
-        return ScoreSeries(np.log(sq).reshape(-1, 1))
+        return _formed_scores(np.log(sq).reshape(-1, 1), model, z)
 
     if model.family == REGRESSION:
         if ts.d != 1:
@@ -145,7 +157,9 @@ def transform(ts: TimeSeries, model: ScoreModel, covariates: np.ndarray | None =
                 f"covariates have {x.shape[0]} rows for {ts.n} observations"
             )
         y = z[:, 0]
-        return ScoreSeries(np.column_stack([y, y[:, None] * x]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = y[:, None] * x
+        return _formed_scores(np.column_stack([y, products]), model, z, x)
 
     if model.family == COVARIANCE:
         if ts.d < 2:
@@ -154,10 +168,11 @@ def transform(ts: TimeSeries, model: ScoreModel, covariates: np.ndarray | None =
         # the output: no (n, d, d) outer products and no gathered copies of z
         out = np.empty((ts.n, model.score_dim(ts.d)))
         pos = 0
-        for j in range(ts.d):
-            np.multiply(z[:, j:], z[:, j : j + 1], out=out[:, pos : pos + ts.d - j])
-            pos += ts.d - j
-        return ScoreSeries(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(ts.d):
+                np.multiply(z[:, j:], z[:, j : j + 1], out=out[:, pos : pos + ts.d - j])
+                pos += ts.d - j
+        return _formed_scores(out, model, z)
 
     # network: each row is a flattened symmetric d x d matrix
     side = int(round(np.sqrt(ts.d)))

@@ -10,20 +10,30 @@ positions 200, 400, 600, 800 in a length-1000 series by default:
 Errors may be standard normal, Student t, or scaled normal; the mean
 design additionally supports moving-average errors that make points up
 to m_dep apart dependent.  Every run draws from a seed derived as
-seed XOR run_index, so runs parallelize reproducibly.
+seed XOR run_index, so runs parallelize reproducibly: ``run_experiment``
+spreads them over worker processes, each under single-threaded BLAS, and
+returns the same records whatever the process count.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import pickle
+import threading
 import time
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
 from .core import CandidateSet, TimeSeries
 from .detectors import SEGMENT_NEIGHBORHOOD, DetectorKind
-from .errors import SpecError
+from .errors import OpticsError, SpecError
 from .ext import HuberConfig, _run_variant
 from .inference import _SEED_MASK, BootstrapConfig, PValueTable, copss_estimate
 from .scores import ScoreModel
@@ -200,6 +210,224 @@ def default_k_max(n_total: int) -> int:
     return max(1, int(math.log(max(n_total // 2, 2))))
 
 
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    # glob and signal are imported where a Monte Carlo call needs them: imported
+    # with the package they moved the heap layout of analyze, raising its peak RSS
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, restoring the previous count after.
+
+    GEMM results can differ in their last bits between BLAS thread counts,
+    so every Monte Carlo run uses one BLAS thread whichever process runs it.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+# Forked worker processes of run_experiment, kept across calls so that
+# repeated calls pay no process start-up: (pid, task stream, reply stream).
+# The lock serializes calls, which share the workers and the BLAS pin.
+_workers: list[tuple[int, BinaryIO, BinaryIO]] = []
+_lock = threading.Lock()
+
+
+def _worker_pool(count: int) -> list[tuple[int, BinaryIO, BinaryIO]]:
+    """Exactly ``count`` cached workers; workers of another count are stopped first,
+    so no more than ``count`` are alive during a call."""
+    if len(_workers) != count:
+        _stop_workers()
+        for _ in range(count):
+            _workers.append(_fork_worker())
+    return _workers
+
+
+def _fork_worker() -> tuple[int, BinaryIO, BinaryIO]:
+    # fork, not spawn: a spawned worker re-imports numpy, which costs more
+    # than the runs of a small experiment
+    task_r, task_w = os.pipe()
+    reply_r, reply_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker; _forget_workers has closed the others' pipes here
+        code = 1
+        try:
+            os.close(task_w)
+            os.close(reply_r)
+            _serve(task_r, reply_w)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(task_r)
+    os.close(reply_w)
+    return pid, os.fdopen(task_w, "wb"), os.fdopen(reply_r, "rb")
+
+
+def _serve(task_fd: int, reply_fd: int) -> None:
+    """Worker loop: perform each (job, first, step, runs) task sent, until EOF."""
+    import signal
+
+    # Ctrl-C reaches the whole process group; only the caller handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    calls = _blas_thread_calls()
+    if calls is not None:
+        calls[1](1)
+    with os.fdopen(task_fd, "rb") as tasks, os.fdopen(reply_fd, "wb") as replies:
+        while True:
+            try:
+                task = pickle.load(tasks)
+            except EOFError:
+                return
+            pickle.dump(_perform(*task), replies)
+            replies.flush()
+
+
+def _stop_workers() -> None:
+    """Stop the cached workers at once, whatever they are doing, and reap them."""
+    import signal
+
+    while _workers:
+        pid, tasks, replies = _workers.pop()
+        for stream in (tasks, replies):
+            with contextlib.suppress(OSError):
+                stream.close()
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGTERM)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _forget_workers() -> None:
+    """In a forked child: close its copies of the workers' pipes, which would
+    keep their EOF from coming, never stop workers that are not its own,
+    and drop a lock that another thread of the parent may have held."""
+    global _lock
+    for _, tasks, replies in _workers:
+        tasks.close()
+        replies.close()
+    _workers.clear()
+    _lock = threading.Lock()
+
+
+atexit.register(_stop_workers)
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork and no worker
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """The settings of one experiment; calling it with i performs run i.
+
+    Instances are pickled to the worker processes with each run index.
+    """
+
+    spec: GeneratorSpec
+    detector: DetectorKind
+    m: CandidateSet
+    alpha: float
+    b_reps: int
+    seed: int
+    L: int
+    huber: HuberConfig | None
+
+    def __call__(self, i: int) -> RunRecord:
+        run_seed = (self.seed ^ i) & _SEED_MASK
+        ts, cov = generate(self.spec, run_seed)
+        cfg = BootstrapConfig(b_reps=self.b_reps, seed=run_seed)
+        t0 = time.perf_counter()
+        # design names coincide with the score families they use
+        cs, table = _run_variant(ts, ScoreModel(self.spec.design), self.detector, self.m,
+                                 self.alpha, cfg, L=self.L, huber=self.huber, covariates=cov)
+        elapsed = time.perf_counter() - t0
+        point = copss_estimate(table)
+        return RunRecord(
+            run=i,
+            covered=self.spec.k_star in cs.members,
+            cardinality=len(cs.members),
+            copss=point,
+            copss_hit=point == self.spec.k_star,
+            seconds=elapsed,
+            members=cs.members,
+            p_hat=tuple(float(p) for p in table.p_hat),
+        )
+
+
+def _perform(job: _Runs, first: int, step: int, runs: int):
+    """Runs first, first + step, ... below ``runs``, stopping at the first that
+    raises: (records, None), or (the records before it, (its run, its error))."""
+    records = []
+    for i in range(first, runs, step):
+        try:
+            records.append(job(i))
+        except Exception as exc:
+            return records, (i, exc)
+    return records, None
+
+
+def _dead(pid: int) -> OpticsError:
+    return OpticsError(f"Monte Carlo worker process {pid} died; its pool was discarded")
+
+
+def _run_all(job: _Runs, runs: int, procs: int) -> list[RunRecord]:
+    """Records of runs 0 .. runs - 1, in run order, from ``procs`` processes.
+
+    This process performs runs 0, procs, 2 procs, ...; worker w of the
+    cached pool performs runs w, w + procs, ...  When runs fail, the
+    error raised is that of the lowest-numbered failing run, as in a
+    serial loop.
+    """
+    workers = _worker_pool(procs - 1)
+    try:
+        for w, (pid, tasks, _) in enumerate(workers, 1):
+            try:
+                pickle.dump((job, w, procs, runs), tasks)
+                tasks.flush()
+            except BrokenPipeError:
+                raise _dead(pid) from None
+        records, failure = _perform(job, 0, procs, runs)
+        if failure is not None and failure[0] == 0:
+            raise failure[1]  # no run comes before it: the workers' runs are abandoned
+        for pid, _, replies in workers:
+            try:
+                more, their_failure = pickle.load(replies)
+            except (EOFError, pickle.UnpicklingError):
+                raise _dead(pid) from None
+            records += more
+            if their_failure is not None and (failure is None or their_failure[0] < failure[0]):
+                failure = their_failure
+    except BaseException:
+        # an interrupt, a dead worker or an abandoned task: the workers go with it
+        _stop_workers()
+        raise
+    if failure is not None:
+        raise failure[1]
+    return sorted(records, key=lambda r: r.run)
+
+
 def run_experiment(
     spec: GeneratorSpec,
     method: str = "optics",
@@ -217,12 +445,18 @@ def run_experiment(
 
     Run i draws its data and multipliers from seed XOR i, so reports are
     reproducible and methods compared on the same seed see identical
-    datasets.  ``threads`` is accepted for compatibility and changes nothing.
+    datasets.  ``threads`` is the number of processes that perform the
+    runs: the caller and up to ``threads - 1`` forked worker processes,
+    which are kept for later calls with the same count.  Every run uses
+    single-threaded BLAS, so the records do not depend on ``threads``
+    except in their ``seconds``.
     """
     if method not in METHODS:
         raise SpecError(f"unknown method {method!r}; expected one of {METHODS}")
     if runs < 1:
         raise SpecError(f"runs must be >= 1, got {runs}")
+    if threads < 1:
+        raise SpecError(f"threads must be >= 1, got {threads}")
     if detector is None:
         detector = DetectorKind(SEGMENT_NEIGHBORHOOD)
     if k_max is None:
@@ -231,29 +465,9 @@ def run_experiment(
     # the base pipeline
     L = ms_l if method == "ms" else spec.m_dep + 1 if method == "mdep" else 1
     h = (huber or HuberConfig()) if method == "huber" else None
-    m = CandidateSet(k_max)
-    # design names coincide with the score families they use
-    model = ScoreModel(spec.design)
-
-    records = []
-    for i in range(runs):
-        run_seed = (seed ^ i) & _SEED_MASK
-        ts, cov = generate(spec, run_seed)
-        cfg = BootstrapConfig(b_reps=b_reps, seed=run_seed)
-        t0 = time.perf_counter()
-        cs, table = _run_variant(ts, model, detector, m, alpha, cfg, L=L, huber=h, covariates=cov)
-        elapsed = time.perf_counter() - t0
-        point = copss_estimate(table)
-        records.append(RunRecord(
-            run=i,
-            covered=spec.k_star in cs.members,
-            cardinality=len(cs.members),
-            copss=point,
-            copss_hit=point == spec.k_star,
-            seconds=elapsed,
-            members=cs.members,
-            p_hat=tuple(float(p) for p in table.p_hat),
-        ))
+    job = _Runs(spec, detector, CandidateSet(k_max), alpha, b_reps, seed, L, h)
+    with _lock, _single_blas_thread():
+        records = _run_all(job, runs, min(threads, runs))
 
     return ExperimentReport(
         method=method,

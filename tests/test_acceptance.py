@@ -15,6 +15,7 @@ from optics_cp import (
     BootstrapConfig,
     CandidateSet,
     DetectorKind,
+    GeneratorSpec,
     HuberConfig,
     PRESETS,
     ScoreModel,
@@ -295,16 +296,14 @@ def test_criterion_12_property_suite():
             if not hi.fallback_used:
                 assert set(hi.members) <= set(lo.members)
 
-    # determinism across thread counts
-    mu = np.repeat([1.0, -1.0, 1.0, -1.0], 50)
-    ts = TimeSeries(mu + np.random.default_rng(7).standard_normal(200))
-    cfg = BootstrapConfig(b_reps=200, seed=13)
-    args = (ScoreModel("mean"), DetectorKind("sn"), CandidateSet(4), 0.1, cfg)
-    cs1, t1 = optics(ts, *args, threads=1)
-    cs4, t4 = optics(ts, *args, threads=4)
-    assert cs1.members == cs4.members
-    assert np.array_equal(t1.p_hat, t4.p_hat)
-    assert np.array_equal(t1.t_stat, t4.t_stat)
+    # determinism across thread counts, which set the Monte Carlo process count
+    spec = GeneratorSpec(n_total=200, taus_star=(50, 100, 150), amplitude=1.0)
+    kw = dict(runs=4, b_reps=200, seed=13, detector=DetectorKind("sn"), k_max=4)
+    rep1 = run_experiment(spec, **kw, threads=1)
+    rep4 = run_experiment(spec, **kw, threads=4)
+    assert [r.members for r in rep1.records] == [r.members for r in rep4.records]
+    assert [r.p_hat for r in rep1.records] == [r.p_hat for r in rep4.records]
+    assert rep1.summary() == rep4.summary()
 
     # Huber loss is continuously differentiable: central differences match
     # the clipped-identity gradient at 1e-6

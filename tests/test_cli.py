@@ -1,14 +1,16 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import optics_cp
-from optics_cp import GeneratorSpec, generate
+from optics_cp import DomainError, GeneratorSpec, generate, sim
 from optics_cp.cli import main
 
 
@@ -114,6 +116,44 @@ def test_simulate_ms_l_zero_exit_3(capsys):
     assert main(["simulate", "--preset", "vary_n", "--runs", "1", "--ms-l", "0",
                  "--output", "-"]) == 3
     assert "--ms-l" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\u00a01.5"])
+def test_analyze_odd_token_is_parse_error(tmp_path, capsys, token):
+    # float() reads these as 10, 3 and 1.5; the CSV accepts plain ASCII numbers only
+    bad = tmp_path / "odd.csv"
+    bad.write_text("x_label\n1.0\n2.0\n" + token + "\n4.0\n", encoding="utf-8")
+    assert main(["analyze", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "non-ASCII" in err
+
+
+@pytest.mark.parametrize("first,model,detector", [
+    ("0", "mean", "sn"), ("1e200", "mean", "sn"), ("0", "mean", "bs"),
+    ("1e200", "mean", "bs"), ("1e200", "covariance", "sn"),
+])
+def test_analyze_overflowing_squares_exit_4(tmp_path, capsys, first, model, detector):
+    # 0 and 1e200 alternate: squares overflow in the fits (0 first) or the costs
+    other = "1e200" if first == "0" else "0"
+    rows = [first if i % 2 == 0 else other for i in range(60)]
+    if model == "covariance":
+        rows = [f"{r},2" for r in rows]
+    csv = tmp_path / "huge.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    assert main(["analyze", "--input", str(csv), "--model", model, "--detector", detector,
+                 "--B", "50", "--output", "-"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "overflow" in err
+
+
+def test_analyze_interrupt_exit_130(tmp_path, capsys, monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("optics_cp.cli._read_csv", interrupted)
+    assert main(["analyze", "--input", str(tmp_path / "data.csv")]) == 130
+    err = capsys.readouterr().err
+    assert err == "error: interrupted\n"
 
 
 def test_analyze_header_row_tolerated(tmp_path):
@@ -300,3 +340,90 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "optics/1"
+
+
+def _child_env():
+    # the child process must import the same package as the tests
+    src = str(Path(optics_cp.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+
+def test_simulate_threads_identical_output_in_subprocess(tmp_path):
+    # a subprocess with a timeout, so a hung worker pool fails instead of stalling
+    outputs = {}
+    for threads in ("1", "2"):
+        prefix = tmp_path / f"t{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "optics_cp", "simulate", "--preset", "tab1",
+             "--runs", "5", "--B", "100", "--seed", "2", "--threads", threads,
+             "--output", str(prefix)],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / f"t{threads}.csv").read_text().splitlines()
+        outputs[threads] = ([r.rsplit(",", 1)[0] for r in rows],
+                            (tmp_path / f"t{threads}.json").read_bytes())
+    assert outputs["1"] == outputs["2"]
+    assert len(outputs["1"][0]) == 6
+
+
+def test_simulate_sigint_exit_130(tmp_path):
+    script = tmp_path / "child.py"
+    script.write_text(
+        "import sys\n"
+        "from optics_cp.cli import main\n"
+        "print('ready', flush=True)\n"
+        "sys.exit(main(['simulate', '--preset', 'tab1', '--runs', '2000', "
+        "'--threads', '2', '--output', '-']))\n"
+    )
+    # its own process group, like a shell job: Ctrl-C reaches the workers too
+    proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=_child_env(),
+                            start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(1.0)  # into the runs, with the worker started
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n" and out == ""
+    # the workers went with the caller
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_simulate_worker_error_exit_code(fresh_pool, monkeypatch, capsys, threads):
+    real = sim._run_variant
+
+    def failing(ts, model, kind, m, alpha, cfg, **kwargs):
+        if cfg.seed % 2:  # the odd runs, all of them in a worker at --threads 2
+            raise DomainError(f"run seed {cfg.seed} rejected")
+        return real(ts, model, kind, m, alpha, cfg, **kwargs)
+
+    monkeypatch.setattr(sim, "_run_variant", failing)
+    assert main(["simulate", "--preset", "tab1", "--runs", "4", "--B", "50",
+                 "--threads", threads, "--output", "-"]) == 4
+    assert capsys.readouterr().err == "error: run seed 1 rejected\n"
+
+
+def test_simulate_dead_worker_exit_3(fresh_pool, monkeypatch, capsys):
+    real = sim._run_variant
+    caller = os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_run_variant", dying)
+    assert main(["simulate", "--preset", "tab1", "--runs", "2", "--B", "50",
+                 "--threads", "2", "--output", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Monte Carlo worker process ") and "died" in err
+    assert "Traceback" not in err

@@ -45,6 +45,26 @@ def _numeric_csv(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
 
 
+# tokens float() reads as numbers, but not plain ASCII decimal or scientific notation
+_UNPLAIN = ["1_0", "1_000.5", "1e1_0", "\u0663", "\u0661\u0662", "-\u0662", "\uff11",
+            "\u00a02", "\u20072.5"]
+
+
+@st.composite
+def _scaled_pair(draw):
+    """One numeric table as CSV text, unscaled and scaled by 1e150 or 1e200."""
+    n = draw(st.integers(10, 60))
+    d = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3, width=64))
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1e150, 1e200]))
+
+    def text(s):
+        return "\n".join(",".join(repr(float(v) * s) for v in row) for row in rows) + "\n"
+
+    return text(1.0), text(scale)
+
+
 def _write(tmp, text):
     path = os.path.join(tmp, "data.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -93,3 +113,39 @@ def test_analyze_any_csv_ends_in_documented_exit(text, model, detector, variant,
         assert err.getvalue().startswith("error:")
     else:
         assert out.getvalue()
+        assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(table=_numeric_csv(), token=st.sampled_from(_UNPLAIN), pick=st.integers(0, 10**6))
+def test_unplain_number_is_parse_error_naming_its_line(table, token, pick):
+    lines = table.splitlines()
+    first = 1 if lines[0].startswith("c0") else 0
+    data = [i for i in range(first, len(lines)) if lines[i]]
+    i = data[pick % len(data)]
+    lines[i] = ",".join([token] + lines[i].split(",")[1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ParseError, match=f"line {i + 1}:"):
+            _read_csv(_write(tmp, "\n".join(lines) + "\n"))
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(pair=_scaled_pair(), detector=st.sampled_from(["bs", "sn"]),
+       k_max=st.sampled_from(["1", "2", "3"]))
+def test_huge_tables_exit_as_unscaled_or_name_overflow(pair, detector, k_max):
+    # scores near 1e150 and above overflow float64 when squared
+    results = []
+    for text in pair:
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(tmp, text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["analyze", "--input", path, "--detector", detector, "--B", "10",
+                             "--kmax", k_max, "--min-seg", "2", "--seed", "1", "--output", "-"])
+        results.append((code, out.getvalue(), err.getvalue()))
+    (code, _, _), (big_code, big_out, big_err) = results
+    assert big_code in (code, 4)
+    if big_code == 4:
+        assert "overflow" in big_err or code == 4
+    if big_code == 0:
+        assert "Infinity" not in big_out and "NaN" not in big_out

@@ -32,6 +32,21 @@ def test_variance_transform_rejects_zero():
         transform(TimeSeries(np.array([1.0, 0.0, 2.0, 3.0])), ScoreModel("variance"))
 
 
+@pytest.mark.parametrize("family,data,covariates", [
+    ("variance", [1.0, 1e200, 2.0], None),
+    ("regression", [1.0, 1e200, 2.0], [[1.0], [1e200], [1.0]]),
+    ("covariance", [[1.0, 2.0], [1e200, 3.0], [1.0, 1.0]], None),
+])
+def test_overflowing_products_are_domain_errors(family, data, covariates):
+    with pytest.raises(DomainError, match=f"{family} scores overflow"):
+        transform(TimeSeries(np.array(data)), ScoreModel(family), covariates)
+    # non-finite input is not an overflow, and keeps its own error
+    bad = np.array(data)
+    bad.flat[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        transform(TimeSeries(bad), ScoreModel(family), covariates)
+
+
 def test_regression_transform_example():
     ts = TimeSeries(np.array([2.0, 0.0]))
     x = np.array([[1.0, -1.0], [0.0, 0.0]])

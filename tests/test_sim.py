@@ -1,14 +1,24 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from optics_cp import (
+    PRESETS,
     DetectorKind,
+    DomainError,
     GeneratorSpec,
+    HuberConfig,
+    OpticsError,
     SpecError,
     diagnostics,
     generate,
     run_experiment,
 )
+from optics_cp import sim
+
+from conftest import child_count
 from optics_cp.inference import PValueTable
 from optics_cp.core import Segmentation
 
@@ -125,6 +135,127 @@ def test_experiment_deterministic_and_thread_safe():
     rep2 = run_experiment(spec, **kw, threads=4)
     assert [r.members for r in rep1.records] == [r.members for r in rep2.records]
     assert [r.p_hat for r in rep1.records] == [r.p_hat for r in rep2.records]
+
+
+def _preset_experiment(name, threads, runs=5):
+    p = PRESETS[name]
+    return run_experiment(p["spec"], method=p["method"],
+                          detector=DetectorKind("sn", min_seg=p["min_seg"]),
+                          b_reps=200, runs=runs, seed=21, ms_l=2,
+                          huber=HuberConfig(kappa=1.5), threads=threads)
+
+
+def _without_seconds(report):
+    return [{**vars(r), "seconds": None} for r in report.records]
+
+
+@pytest.mark.parametrize("preset", ["tab1", "tab7", "coverage_ro", "vary_n"])
+def test_experiment_identical_across_process_counts(preset):
+    # 5 runs over 2 and 3 processes: the caller and the workers take unequal shares
+    reports = [_preset_experiment(preset, threads) for threads in (1, 2, 3)]
+    for rep in reports[1:]:
+        assert _without_seconds(rep) == _without_seconds(reports[0])
+        assert rep.summary() == reports[0].summary()
+    assert [r.run for r in reports[2].records] == list(range(5))
+
+
+_SPEC = GeneratorSpec(n_total=200, taus_star=(100,), amplitude=2.0)
+_KW = dict(b_reps=50, seed=0, detector=DetectorKind("sn"), k_max=2)
+
+
+def test_worker_processes_bounded_by_threads(fresh_pool, monkeypatch):
+    seen = []
+    real = sim._run_variant
+
+    def counting(*args, **kwargs):
+        if os.getpid() == caller:
+            seen.append((threads, child_count()))
+        return real(*args, **kwargs)
+
+    caller = os.getpid()
+    monkeypatch.setattr(sim, "_run_variant", counting)
+    for threads, runs in ((3, 6), (2, 4), (4, 2), (1, 3), (3, 1), (2, 5)):
+        run_experiment(_SPEC, runs=runs, threads=threads, **_KW)
+        assert child_count() == min(threads, runs) - 1
+    assert seen and all(count <= threads - 1 for threads, count in seen)
+
+
+def test_worker_error_is_the_serial_error(fresh_pool, monkeypatch):
+    real = sim._run_variant
+
+    def failing(ts, model, kind, m, alpha, cfg, **kwargs):
+        if cfg.seed >= 1:  # seed 0 XOR i: every run but run 0
+            raise DomainError(f"run {cfg.seed} failed")
+        return real(ts, model, kind, m, alpha, cfg, **kwargs)
+
+    monkeypatch.setattr(sim, "_run_variant", failing)
+    for threads in (1, 2, 3):
+        with pytest.raises(DomainError, match=r"^run 1 failed$"):
+            run_experiment(_SPEC, runs=4, threads=threads, **_KW)
+    # the workers report their failures and stay for the next call
+    assert len(sim._workers) == 2 and child_count() == 2
+
+
+def test_dead_worker_discards_pool(fresh_pool, monkeypatch):
+    real = sim._run_variant
+    caller = os.getpid()
+
+    def dying(ts, model, kind, m, alpha, cfg, **kwargs):
+        if cfg.seed == 1 and os.getpid() != caller:  # the worker of run 1 dies
+            os._exit(1)
+        return real(ts, model, kind, m, alpha, cfg, **kwargs)
+
+    monkeypatch.setattr(sim, "_run_variant", dying)
+    with pytest.raises(OpticsError, match=r"worker process \d+ died"):
+        run_experiment(_SPEC, runs=6, threads=3, **_KW)
+    assert not sim._workers and child_count() == 0
+    monkeypatch.setattr(sim, "_run_variant", real)
+    assert run_experiment(_SPEC, runs=3, threads=2, **_KW).runs == 3
+
+
+def test_concurrent_calls_share_workers_safely(fresh_pool):
+    # more calling threads than cores, all on the one cached pool; the first
+    # started has the most runs, so unserialized calls would read others' replies
+    seeds = (1, 2, 3, 4)
+
+    def kw(s):
+        return dict(_KW, seed=s, runs=2 * (5 - s))
+
+    serial = {s: _without_seconds(run_experiment(_SPEC, **kw(s))) for s in seeds}
+    results = {}
+
+    def call(s):
+        results[s] = _without_seconds(run_experiment(_SPEC, threads=2, **kw(s)))
+
+    callers = [threading.Thread(target=call, args=(s,)) for s in seeds]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in callers)
+    assert results == serial
+
+
+def test_forked_child_leaves_workers_alone(fresh_pool):
+    run_experiment(_SPEC, runs=3, threads=3, **_KW)
+    pids = [w[0] for w in sim._workers]
+    child = os.fork()
+    if child == 0:
+        # what the child's exit handlers would do: a no-op, the workers are not its own
+        code = 1
+        try:
+            sim._stop_workers()
+            code = 0
+        finally:
+            os._exit(code)
+    assert os.waitpid(child, 0)[1] == 0
+    assert [w[0] for w in sim._workers] == pids and child_count() == 2
+    assert run_experiment(_SPEC, runs=3, threads=3, **_KW).runs == 3
+
+
+def test_threads_below_one_rejected():
+    with pytest.raises(SpecError, match="threads"):
+        run_experiment(_SPEC, runs=1, threads=0, **_KW)
 
 
 def _table(criteria):
