@@ -1,0 +1,48 @@
+"""The benchmark in ``perfbench/`` drives the package through public names
+and the ``analyze`` command line.  These tests read the benchmark's
+sources, without editing them, so that removing a name or an option it
+relies on fails here rather than in a traced benchmark replay."""
+
+import functools
+import importlib.util
+import re
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import optics_cp
+from optics_cp.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def _bench_common():
+    spec = importlib.util.spec_from_file_location("perfbench_common", PERFBENCH / "common.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_package_name_the_benchmark_uses_exists():
+    # the benchmark binds the package to ``oc``; \b keeps out names like proc.wait
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        names |= set(re.findall(r"\boc\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
+    assert {"fit_all_candidates", "bootstrap_pvalue", "cauchy_combine"} <= names
+    assert sorted(n for n in names if not hasattr(optics_cp, n)) == []
+    common = _bench_common()
+    assert set(common.SIM_PRESETS) <= set(optics_cp.PRESETS)
+
+
+def test_cli_accepts_the_benchmark_analyze_argv(tmp_path, monkeypatch):
+    common = _bench_common()
+    monkeypatch.chdir(tmp_path)  # the argv's paths are relative to the checkout root
+    for name in ("analyze_sn_16k", "analyze_bs_64k"):
+        wl = replace(common.WORKLOADS[name], n=400)
+        csv_path, out_path = wl.paths(0)
+        (tmp_path / csv_path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / csv_path).write_text(wl.values(0)[0], encoding="utf-8")
+        assert main(wl.argv(0)) == 0, name
+        assert (tmp_path / out_path).read_bytes().startswith(b"{")
