@@ -38,7 +38,6 @@ from .errors import (
     SpecError,
 )
 from .ext import (
-    CauchyWeights,
     HuberConfig,
     cauchy_combine,
     h_optics,
@@ -47,8 +46,6 @@ from .ext import (
     ms_optics,
 )
 from .inference import (
-    LEFTMOST,
-    RIGHTMOST,
     BootstrapConfig,
     ConfidenceSet,
     PValueTable,
@@ -58,7 +55,6 @@ from .inference import (
     copss_estimate,
     criterion,
     optics,
-    reduce,
     run_on_scores,
     test_statistic,
     xi_matrix,

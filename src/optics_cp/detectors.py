@@ -6,6 +6,8 @@ the k boundaries.  Binary segmentation splits greedily one boundary at a
 time; the segment-neighborhood dynamic program is exact for every k up
 to a maximum in a single table pass, which it fills in blocks of end
 points with one vectorised step per block and boundary count.
+``fit_all_candidates`` is the one entry that checks feasibility and builds
+segmentations; the single-count fitters return one of its entries.
 
 Ties are broken deterministically toward the smallest boundary position
 so repeated runs produce identical segmentations.
@@ -80,19 +82,19 @@ class CostCache:
         return cls(cum=cum, cum_sq=cum_sq, n=n, d_p=d_p)
 
 
+def _costs(cache: CostCache, a, b) -> np.ndarray:
+    """SSE of every block (a, b] at once; ``a`` and ``b`` are indices or index
+    arrays that broadcast against each other, with a < b throughout."""
+    diff = cache.cum[b] - cache.cum[a]
+    sq = cache.cum_sq[b] - cache.cum_sq[a]
+    return np.maximum(sq - np.sum(diff * diff, axis=-1) / (b - a), 0.0)
+
+
 def segment_cost(cache: CostCache, a: int, b: int) -> float:
     """SSE of the block (a, b] around its own mean; nonnegative."""
     if not 0 <= a < b <= cache.n:
         raise IndexError(f"invalid block ({a}, {b}] for n={cache.n}")
-    diff = cache.cum[b] - cache.cum[a]
-    val = cache.cum_sq[b] - cache.cum_sq[a] - float(diff @ diff) / (b - a)
-    return max(val, 0.0)
-
-
-def _costs_starting_at(cache: CostCache, a: int, b_vec: np.ndarray) -> np.ndarray:
-    diff = cache.cum[b_vec] - cache.cum[a]
-    sq = cache.cum_sq[b_vec] - cache.cum_sq[a]
-    return np.maximum(sq - np.sum(diff * diff, axis=1) / (b_vec - a), 0.0)
+    return float(_costs(cache, a, b))
 
 
 def _bs_best_split(cache: CostCache, a: int, b: int, min_seg: int):
@@ -104,13 +106,8 @@ def _bs_best_split(cache: CostCache, a: int, b: int, min_seg: int):
     if b - a < 2 * min_seg:
         return None
     ts = np.arange(a + min_seg, b - min_seg + 1)
-    whole = segment_cost(cache, a, b)
-    # left costs: (a, t]; right costs: (t, b]
-    left = _costs_starting_at(cache, a, ts)
-    right_diff = cache.cum[b] - cache.cum[ts]
-    right_sq = cache.cum_sq[b] - cache.cum_sq[ts]
-    right = np.maximum(right_sq - np.sum(right_diff * right_diff, axis=1) / (b - ts), 0.0)
-    gains = whole - left - right
+    # the whole block (a, b] less its left parts (a, t] and right parts (t, b]
+    gains = _costs(cache, a, b) - _costs(cache, a, ts) - _costs(cache, ts, b)
     i = int(np.argmax(gains))
     return float(gains[i]), int(ts[i])
 
@@ -140,28 +137,11 @@ def binary_segmentation(scores, k: int, min_seg: int = 5) -> Segmentation:
     """Greedy recursive segmentation with exactly k boundaries.
 
     At each step the segment and position with the largest SSE reduction
-    are split, subject to ``min_seg``.  Raises InfeasibleError when k
-    boundaries cannot be placed.
+    are split, subject to ``min_seg``.  The candidate-k entry of
+    ``fit_all_candidates``; raises InfeasibleError when k boundaries
+    cannot be placed.
     """
-    cache = CostCache.from_scores(scores)
-    _check_feasible(cache.n, k, min_seg)
-    path = _bs_split_path(cache, k, min_seg)
-    if len(path) < k:
-        raise InfeasibleError(
-            f"greedy recursion stalled after {len(path)} of {k} splits "
-            f"(n={cache.n}, min_seg={min_seg})"
-        )
-    return Segmentation(taus=tuple(sorted(path[:k])), n=cache.n, min_seg=min_seg)
-
-
-def _check_feasible(n: int, k: int, min_seg: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n < (k + 1) * min_seg:
-        raise InfeasibleError(
-            f"cannot place {k} boundaries in n={n} with min_seg={min_seg}: "
-            f"need n >= {(k + 1) * min_seg}"
-        )
+    return fit_all_candidates(scores, CandidateSet(k), DetectorKind(BINARY_SEGMENTATION, min_seg))[k]
 
 
 def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
@@ -239,14 +219,10 @@ def segment_neighborhood(scores, k: int, min_seg: int = 5) -> Segmentation:
     """Exact minimum-SSE segmentation with exactly k boundaries.
 
     Dynamic program over all admissible boundary placements; O(n^2 k)
-    time with the prefix-sum cache.
+    time with the prefix-sum cache.  The candidate-k entry of
+    ``fit_all_candidates``.
     """
-    cache = CostCache.from_scores(scores)
-    _check_feasible(cache.n, k, min_seg)
-    cost, back = _sn_tables(cache, k, min_seg)
-    if not np.isfinite(cost[k, cache.n]):
-        raise InfeasibleError(f"no admissible segmentation with k={k}, min_seg={min_seg}")
-    return _sn_extract(back, k, cache.n, min_seg)
+    return fit_all_candidates(scores, CandidateSet(k), DetectorKind(SEGMENT_NEIGHBORHOOD, min_seg))[k]
 
 
 def fit_all_candidates(scores, m: CandidateSet, kind: DetectorKind) -> dict[int, Segmentation]:
@@ -258,10 +234,11 @@ def fit_all_candidates(scores, m: CandidateSet, kind: DetectorKind) -> dict[int,
     """
     cache = CostCache.from_scores(scores)
     for k in m:
-        try:
-            _check_feasible(cache.n, k, kind.min_seg)
-        except InfeasibleError as exc:
-            raise InfeasibleError(f"candidate K={k} infeasible: {exc}") from None
+        if cache.n < (k + 1) * kind.min_seg:
+            raise InfeasibleError(
+                f"candidate K={k} infeasible: cannot place {k} boundaries in n={cache.n} "
+                f"with min_seg={kind.min_seg}: need n >= {(k + 1) * kind.min_seg}"
+            )
 
     out: dict[int, Segmentation] = {}
     if kind.kind == SEGMENT_NEIGHBORHOOD:

@@ -4,8 +4,8 @@ and m-dependent data.
 All three are one construction, run by a single function: the base
 pipeline on L order-preserving subsamples, with an optional change of
 the per-point fit measure, and the per-candidate p-values fused by
-Cauchy combination, which stays valid under arbitrary dependence
-between the splits.  Multiple splitting picks L; the m-dependent
+equal-weight Cauchy combination, which stays valid under arbitrary
+dependence between the splits.  Multiple splitting picks L; the m-dependent
 variant is L = m + 1, so that observations within each subsample are at
 least m + 1 apart and hence independent; the Huber variant keeps L = 1
 and swaps the squared-norm fit for a coordinatewise Huber loss.  The
@@ -33,25 +33,6 @@ from .scores import ScoreModel, transform
 
 
 @dataclass(frozen=True)
-class CauchyWeights:
-    """Nonnegative combination weights summing to one."""
-
-    omega: tuple[float, ...]
-
-    def __post_init__(self):
-        omega = tuple(float(w) for w in self.omega)
-        object.__setattr__(self, "omega", omega)
-        if any(w < 0 for w in omega):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(omega) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(omega)}")
-
-    @classmethod
-    def uniform(cls, L: int) -> "CauchyWeights":
-        return cls(omega=tuple(1.0 / L for _ in range(L)))
-
-
-@dataclass(frozen=True)
 class HuberConfig:
     """Huber threshold; ``adaptive`` rescales it from the even-half spread."""
 
@@ -63,27 +44,25 @@ class HuberConfig:
             raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
 
 
-def _cauchy(p: np.ndarray, omega: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise weighted Cauchy combination of an (L, K) p-value matrix:
-    the statistics sum_r w_r * tan((0.5 - p_r) * pi) and the combined
+def _cauchy(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise equal-weight Cauchy combination of an (L, K) p-value
+    matrix: the statistics sum_r tan((0.5 - p_r) * pi) / L and the combined
     p-values 0.5 - arctan(T) / pi."""
-    stat = np.sum(np.asarray(omega)[:, None] * np.tan((0.5 - p) * np.pi), axis=0)
+    stat = np.sum((1.0 / len(p)) * np.tan((0.5 - p) * np.pi), axis=0)
     return stat, 0.5 - np.arctan(stat) / np.pi
 
 
-def cauchy_combine(pvals, w: CauchyWeights | None = None) -> float:
-    """Combine p-values through the weighted Cauchy transform.
+def cauchy_combine(pvals) -> float:
+    """Combine p-values through the equal-weight Cauchy transform.
 
-    T = sum_r w_r * tan((0.5 - p_r) * pi), mapped back through
+    T = mean_r tan((0.5 - p_r) * pi), mapped back through
     0.5 - arctan(T) / pi.  Valid under arbitrary dependence; strictly
     increasing in every input.  Inputs should lie strictly inside (0, 1).
     """
     p = np.asarray(pvals, dtype=np.float64).ravel()
-    if w is None:
-        w = CauchyWeights.uniform(len(p))
-    if len(w.omega) != len(p):
-        raise ValueError(f"{len(w.omega)} weights for {len(p)} p-values")
-    return float(_cauchy(p[:, None], w.omega)[1][0])
+    if p.size == 0:
+        raise ValueError("no p-values to combine")
+    return float(_cauchy(p[:, None])[1][0])
 
 
 def huber_loss(u, kappa: float):
@@ -126,7 +105,6 @@ def _run_variant(
     cfg: BootstrapConfig,
     L: int = 1,
     huber: HuberConfig | None = None,
-    w: CauchyWeights | None = None,
     covariates: np.ndarray | None = None,
 ) -> tuple[ConfidenceSet, PValueTable]:
     """The one pipeline behind every variant.
@@ -135,8 +113,8 @@ def _run_variant(
     with the squared-norm fit, or with the Huber fit when ``huber`` is
     given (an adaptive threshold is set from the parity split's even
     half).  L > 1 runs that on each order-preserving subsample r, with
-    its covariate rows and seed XOR r, and Cauchy-combines the
-    per-candidate p-values with weights ``w`` (uniform by default).
+    its covariate rows and seed XOR r, and fuses the per-candidate
+    p-values by equal-weight Cauchy combination.
     """
     if L == 1:
         scores = transform(ts, model, covariates)
@@ -148,10 +126,6 @@ def _run_variant(
             row_fit = partial(_huber_rows, kappa=kappa)
         return run_on_scores(scores, kind, m, alpha, cfg, row_fit)
 
-    if w is None:
-        w = CauchyWeights.uniform(L)
-    if len(w.omega) != L:
-        raise ValueError(f"{len(w.omega)} weights for L={L} splits")
     subs = order_preserving_l_split(ts, L)
     cov_subs = split_like(np.asarray(covariates), L) if covariates is not None else [None] * L
     tables = [
@@ -162,7 +136,7 @@ def _run_variant(
     # clip to keep tan finite at the discrete bootstrap endpoints 0 and 1
     lo = 1.0 / (2.0 * cfg.b_reps)
     clipped = np.clip(np.stack([t.p_hat for t in tables]), lo, 1.0 - lo)
-    stat, combined_p = _cauchy(clipped, w.omega)
+    stat, combined_p = _cauchy(clipped)
     table = PValueTable(
         candidates=tables[0].candidates,
         p_hat=combined_p,
@@ -205,7 +179,6 @@ def ms_optics(
     alpha: float = 0.1,
     cfg: BootstrapConfig | None = None,
     L: int = 2,
-    w: CauchyWeights | None = None,
     covariates: np.ndarray | None = None,
 ) -> tuple[ConfidenceSet, PValueTable]:
     """Multiple-splitting variant.
@@ -213,11 +186,11 @@ def ms_optics(
     The series is divided into L order-preserving subsamples, the base
     pipeline runs on each with its own parity split (subsample r derives
     its seed as seed XOR r), and the per-candidate p-values are fused by
-    Cauchy combination before thresholding.  L = 1 is the base procedure
-    itself.
+    equal-weight Cauchy combination before thresholding.  L = 1 is the
+    base procedure itself.
     """
     return _run_variant(ts, model, kind, m, alpha, cfg or BootstrapConfig(),
-                        L=L, w=w, covariates=covariates)
+                        L=L, covariates=covariates)
 
 
 def m_optics(

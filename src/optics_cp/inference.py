@@ -46,9 +46,6 @@ from .detectors import DetectorKind, fit_all_candidates
 from .errors import ConfigError, DomainError, LengthError, ShapeError
 from .scores import ScoreModel, ScoreSeries, transform
 
-RIGHTMOST = "rightmost"
-LEFTMOST = "leftmost"
-
 # Resolution of the studentized ratios; 2^-13 keeps the statistic within
 # ~1e-4 of its unsnapped value while making it exactly scale-invariant.
 _STUDENT_GRID = 8192.0
@@ -65,14 +62,12 @@ class BootstrapConfig:
     """Multiplier bootstrap settings.
 
     ``injected`` replaces the seeded Gaussian multipliers with an
-    explicit (b_reps, n) matrix, mainly for tests.  ``conservative``
-    switches the p-value to (1 + count) / (1 + B).
+    explicit (b_reps, n) matrix, mainly for tests.
     """
 
     b_reps: int = 500
     seed: int = 0
     injected: np.ndarray | None = None
-    conservative: bool = False
 
     def __post_init__(self):
         if self.b_reps < 1:
@@ -118,22 +113,6 @@ class PValueTable:
     delta_hat: np.ndarray  # [i, j] = mean criterion gap of candidate i over j
     n: int
     splits: tuple["PValueTable", ...] = ()
-
-    def index_of(self, k: int) -> int:
-        try:
-            return self.candidates.index(k)
-        except ValueError:
-            raise KeyError(f"candidate {k} not in table") from None
-
-    def entry(self, k: int) -> dict:
-        i = self.index_of(k)
-        return {
-            "k": k,
-            "p_hat": float(self.p_hat[i]),
-            "t_stat": float(self.t_stat[i]),
-            "criterion": float(self.criterion[i]),
-            "taus": list(self.segmentations[i].taus),
-        }
 
 
 @dataclass(frozen=True)
@@ -287,8 +266,6 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
                 gen.standard_normal(n, out=mult[j])
         t_sharp = ((stud @ mult.T) / math.sqrt(n)).reshape(len(t_obs), -1, c).max(axis=1)
         counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
-    if cfg.conservative:
-        return (1 + counts) / (1 + b_reps)
     return counts / b_reps
 
 
@@ -389,11 +366,3 @@ def copss_estimate(table: PValueTable) -> int:
     (smallest count on ties)."""
     return table.candidates[int(np.argmin(table.criterion))]
 
-
-def reduce(cs: ConfidenceSet, rule: str) -> int:
-    """Collapse a set to a single count: its largest or smallest member."""
-    if rule == RIGHTMOST:
-        return cs.rightmost
-    if rule == LEFTMOST:
-        return cs.leftmost
-    raise ValueError(f"unknown reduction rule {rule!r}")

@@ -321,6 +321,20 @@ def test_simulate_zero_dimensional_spec_exit_3(tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("noise_param", 0, "noise_param must be finite and > 0"),
+    ("noise_param", float("inf"), "noise_param must be finite and > 0"),
+    ("amplitude", float("nan"), "amplitude must be finite"),
+])
+def test_simulate_spec_with_bad_noise_or_amplitude_exit_3(tmp_path, capsys, field, value, message):
+    spec_file = tmp_path / "bad.json"
+    generator = dict(_GENERATOR, noise="student_t", **{field: value})
+    spec_file.write_text(json.dumps({"generator": generator, "runs": 1}))
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_simulate_stdout(capsys):
     assert main(["simulate", "--preset", "tab1", "--runs", "1", "--B", "60",
                  "--output", "-"]) == 0

@@ -4,7 +4,6 @@ import pytest
 from optics_cp import (
     BootstrapConfig,
     CandidateSet,
-    CauchyWeights,
     DetectorKind,
     HuberConfig,
     ScoreModel,
@@ -42,13 +41,9 @@ def test_cauchy_strictly_increasing_in_each_input():
         assert cauchy_combine(bumped) > ref
 
 
-def test_cauchy_weights_validated():
-    with pytest.raises(ValueError):
-        CauchyWeights(omega=(0.5, 0.6))
-    with pytest.raises(ValueError):
-        CauchyWeights(omega=(-0.1, 1.1))
-    with pytest.raises(ValueError):
-        cauchy_combine([0.5, 0.5, 0.5], CauchyWeights.uniform(2))
+def test_cauchy_needs_a_pvalue():
+    with pytest.raises(ValueError, match="no p-values"):
+        cauchy_combine([])
 
 
 def test_huber_quadratic_branch():
@@ -172,9 +167,7 @@ def test_ms_split_seeds_differ_but_combination_is_deterministic():
 
 def test_ms_equal_split_pvalues_combine_to_same_value():
     for p in (0.2, 0.5, 0.8):
-        assert cauchy_combine([p, p], CauchyWeights.uniform(2)) == pytest.approx(
-            p, abs=1e-12
-        )
+        assert cauchy_combine([p, p]) == pytest.approx(p, abs=1e-12)
 
 
 def test_ms_regression_splits_match_hand_made_subsamples():

@@ -17,11 +17,10 @@ from optics_cp import (
     copss_estimate,
     criterion,
     optics,
-    reduce,
     run_experiment,
     xi_matrix,
 )
-from optics_cp.inference import LEFTMOST, RIGHTMOST, PValueTable
+from optics_cp.inference import PValueTable
 from optics_cp.inference import test_statistic as studentized_max
 
 
@@ -136,13 +135,6 @@ def test_bootstrap_rep_count_mismatch_rejected_at_construction():
         BootstrapConfig(b_reps=2, seed=0, injected=np.ones((3, 4)))
     with pytest.raises(ConfigError):
         BootstrapConfig(b_reps=0, seed=0)
-
-
-def test_conservative_pvalue_variant():
-    xm = _xi_with_rows([[1.0, 1.0, 1.0, 1.0]])
-    cfg = BootstrapConfig(b_reps=4, seed=0, conservative=True,
-                          injected=np.zeros((4, 4)))
-    assert bootstrap_pvalue(xm, cfg) == pytest.approx(1.0 / 5.0)
 
 
 def mean_series(seed=0, n_obs=240, amp=2.0, breaks=(60, 120, 180)):
@@ -269,8 +261,8 @@ def test_reduce_rules():
         ),
         0.1,
     )
-    assert reduce(cs, RIGHTMOST) == 5
-    assert reduce(cs, LEFTMOST) == 2
+    assert cs.rightmost == 5
+    assert cs.leftmost == 2
     singleton = confidence_set(
         PValueTable(
             candidates=(3,),
@@ -283,7 +275,7 @@ def test_reduce_rules():
         ),
         0.1,
     )
-    assert reduce(singleton, RIGHTMOST) == reduce(singleton, LEFTMOST) == 3
+    assert singleton.rightmost == singleton.leftmost == 3
 
 
 def test_delta_antisymmetry_across_pipeline():
@@ -343,7 +335,7 @@ def _reference_run(scores, kind, m, cfg):
         else:
             count = int(np.count_nonzero(
                 ((xm.studentized @ mult.T) / np.sqrt(half)).max(axis=0) > t))
-            p = (1 + count) / (1 + cfg.b_reps) if cfg.conservative else count / cfg.b_reps
+            p = count / cfg.b_reps
         t_stat.append(t)
         p_hat.append(p)
     return np.array(p_hat), np.array(t_stat), delta
@@ -409,16 +401,6 @@ def test_chunked_bootstrap_injected(monkeypatch):
     _assert_matches_reference(scores, BootstrapConfig(b_reps=45, seed=0, injected=inj))
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 4)
     _assert_matches_reference(scores, BootstrapConfig(b_reps=45, seed=0, injected=inj))
-
-
-def test_chunked_bootstrap_conservative(monkeypatch):
-    from optics_cp import inference
-
-    scores = _noisy_scores(29)
-    cfg = BootstrapConfig(b_reps=60, seed=6, conservative=True)
-    _assert_matches_reference(scores, cfg)
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 8)
-    _assert_matches_reference(scores, cfg)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 63, (1 << 64) + 5])

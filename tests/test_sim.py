@@ -112,6 +112,13 @@ def test_spec_validation():
     for d in (0, -1):
         with pytest.raises(SpecError, match="d must be >= 1"):
             GeneratorSpec(d=d)
+    for amplitude in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(SpecError, match="amplitude must be finite"):
+            GeneratorSpec(amplitude=amplitude)
+    for noise in ("normal", "student_t", "scaled_normal"):
+        for param in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(SpecError, match="noise_param must be finite and > 0"):
+                GeneratorSpec(noise=noise, noise_param=param)
 
 
 def test_single_run_report():
