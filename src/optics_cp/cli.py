@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -30,47 +31,66 @@ SCHEMA = "optics/1"
 logger = logging.getLogger("optics_cp")
 
 
+def _numbered(rows: list[str], first: int) -> list[tuple[int, str]]:
+    """The non-blank rows with their line numbers, ``rows[0]`` being line ``first``."""
+    return [(i, ln) for i, ln in enumerate(rows, first) if ln.strip()]
+
+
 def _read_csv(path: str) -> np.ndarray:
-    """Load a numeric CSV, tolerating one optional header row."""
+    """Load a numeric CSV, tolerating one optional header row.
+
+    Every value equals Python's ``float`` of its cell.  numpy's ``loadtxt``
+    parses the data rows; a text it refuses is read again line by line, so
+    the error names the offending line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+    lines = text.splitlines()
+    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if first is None:
         raise ParseError(f"{path} is empty")
-    start = 0
+    start = first + 1  # the line number of rows[0], below the header if there is one
     try:
-        [float(tok) for tok in lines[0][1].split(",")]
+        [float(tok) for tok in lines[first].split(",")]
     except ValueError:
-        start = 1  # header row
+        start += 1  # header row
+    rows = lines[start - 1 :]
+    if not any(ln.strip() for ln in rows):
+        raise ParseError(f"{path} has no data rows")
     # float() also reads "1_0" and non-ASCII digits, but numbers here are plain
     # ASCII decimal or scientific notation; the whole text is checked first,
     # which costs next to nothing, and the lines only when it holds such a character
     if "_" in text or not text.isascii():
-        stray = next(((i, ln) for i, ln in lines[start:] if "_" in ln or not ln.isascii()), None)
+        stray = next(((i, ln) for i, ln in _numbered(rows, start) if "_" in ln or not ln.isascii()), None)
         if stray is not None:
             raise ParseError(f"{path}: line {stray[0]}: underscore or non-ASCII character "
                              f"in numeric row {stray[1]!r}")
-    rows = []
-    width = None
-    for lineno, ln in lines[start:]:
-        try:
-            row = [float(tok) for tok in ln.split(",")]
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad numeric row {ln!r}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{path}: line {lineno}: ragged row {ln!r}")
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path} has no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    data = None
+    # on plain ASCII cells loadtxt and float() share CPython's number parser, but
+    # loadtxt also strips the unit separator \x1f around a number and float() does not
+    if "\x1f" not in text:
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    if data is None:  # refused: parse cell by cell to name the offending line
+        parsed = []
+        width = None
+        for lineno, ln in _numbered(rows, start):
+            try:
+                row = [float(tok) for tok in ln.split(",")]
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad numeric row {ln!r}") from None
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(f"{path}: line {lineno}: ragged row {ln!r}")
+            parsed.append(row)
+        data = np.asarray(parsed, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        lineno, ln = lines[start + bad[0]]
+        lineno, ln = _numbered(rows, start)[bad[0]]
         raise ParseError(f"{path}: line {lineno}: non-finite value in row {ln!r}")
     return data
 

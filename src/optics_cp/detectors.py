@@ -5,7 +5,9 @@ a score sequence and return, for a requested count k, the positions of
 the k boundaries.  Binary segmentation splits greedily one boundary at a
 time; the segment-neighborhood dynamic program is exact for every k up
 to a maximum in a single table pass, which it fills in blocks of end
-points with one vectorised step per block and boundary count.
+points with one vectorised step per block and boundary count.  Only the
+whole series is split by the maximal count, so its layer is evaluated at
+t = n alone, bitwise as the full table would hold it.
 ``fit_all_candidates`` is the one entry that checks feasibility and builds
 segmentations; the single-count fitters return one of its entries.
 
@@ -149,6 +151,8 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
 
     cost[j, t] is the minimal SSE of the first t points split by exactly
     j boundaries; back[j, t] is the smallest last boundary achieving it.
+    Every entry is filled; ``fit_all_candidates`` asks for one layer fewer
+    than its largest count and evaluates that count at t = n alone.
 
     End points t run in blocks of rows.  Each block builds its segment
     costs C[t, s] = SSE of (s, t] once, with C = inf where s > t - min_seg,
@@ -157,7 +161,8 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     smallest boundary).  Layer j - 1 of a block is complete before
     layer j reads it, because every boundary s lies below t.  The
     scratch buffers are allocated once per call and sized by
-    ``_SN_BLOCK_BYTES``.
+    ``_SN_BLOCK_BYTES``; with one score coordinate the squared
+    differences go straight into the temporary, so there are three.
     """
     n, d_p = cache.n, cache.d_p
     cost = np.full((k_max + 1, n + 1), np.inf)
@@ -166,11 +171,12 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     if width < 1:
         return cost, back
     b = max(1, min(_SN_BLOCK_MAX_ROWS, _SN_BLOCK_BYTES // (8 * width * max(d_p, 1))))
-    diff = np.empty((b, width, d_p))
+    diff = np.empty((b, width, d_p)) if d_p > 1 else None
     c = np.empty((b, width))
     tmp = np.empty((b, width))
     w = np.empty(b * width)  # reshaped per use: argmin copies non-contiguous input
     pos = np.arange(n + 1, dtype=np.float64)
+    ar = np.arange(b)
     # the last b - 1 columns a block reaches lie past the last admissible
     # boundary of its earlier rows: row r may not use column q of them if q >= r
     mask = np.arange(b - 1)[None, :] >= np.arange(b)[:, None]
@@ -179,13 +185,19 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
         for t0 in range(min_seg, n + 1, b):
             t1 = min(t0 + b, n + 1)
             rows, m = t1 - t0, t1 - min_seg  # columns 0 .. m - 1 reach some row
-            dv, cv, tv = diff[:rows, :m], c[:rows, :m], tmp[:rows, :m]
+            cv, tv = c[:rows, :m], tmp[:rows, :m]
             # C = max(sq - sum(diff^2) / length, 0) with the operations of a single
-            # end point's cost vector, entry for entry, so every entry is bitwise equal
-            np.subtract(cache.cum[t0:t1, None, :], cache.cum[None, :m, :], out=dv)
+            # end point's cost vector, entry for entry, so every entry is bitwise equal;
+            # a sum over one coordinate is that coordinate, so d_p = 1 skips it
+            if diff is None:
+                np.subtract(cache.cum[t0:t1, None, 0], cache.cum[None, :m, 0], out=tv)
+                np.multiply(tv, tv, out=tv)
+            else:
+                dv = diff[:rows, :m]
+                np.subtract(cache.cum[t0:t1, None, :], cache.cum[None, :m, :], out=dv)
+                np.multiply(dv, dv, out=dv)
+                np.sum(dv, axis=2, out=tv)
             np.subtract(cache.cum_sq[t0:t1, None], cache.cum_sq[None, :m], out=cv)
-            np.multiply(dv, dv, out=dv)
-            np.sum(dv, axis=2, out=tv)
             lengths = w[: rows * m].reshape(rows, m)
             np.subtract(pos[t0:t1, None], pos[None, :m], out=lengths)
             np.divide(tv, lengths, out=tv)
@@ -201,18 +213,18 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
                 win = w[: (rows - r0) * (m - lo)].reshape(rows - r0, m - lo)
                 np.add(cv[r0:, lo:], cost[j - 1, lo:m], out=win)
                 idx = np.argmin(win, axis=1)
-                cost[j, t0 + r0 : t1] = np.take_along_axis(win, idx[:, None], axis=1)[:, 0]
+                cost[j, t0 + r0 : t1] = win[ar[: rows - r0], idx]
                 back[j, t0 + r0 : t1] = idx + lo
     return cost, back
 
 
-def _sn_extract(back: np.ndarray, k: int, n: int, min_seg: int) -> Segmentation:
+def _sn_extract(back: np.ndarray, k: int, t: int) -> list[int]:
+    """The k boundaries of the best split of the first t points, in order."""
     taus = []
-    t = n
     for j in range(k, 0, -1):
         t = int(back[j, t])
         taus.append(t)
-    return Segmentation(taus=tuple(reversed(taus)), n=n, min_seg=min_seg)
+    return taus[::-1]
 
 
 def segment_neighborhood(scores, k: int, min_seg: int = 5) -> Segmentation:
@@ -242,11 +254,21 @@ def fit_all_candidates(scores, m: CandidateSet, kind: DetectorKind) -> dict[int,
 
     out: dict[int, Segmentation] = {}
     if kind.kind == SEGMENT_NEIGHBORHOOD:
-        cost, back = _sn_tables(cache, m.k_max, kind.min_seg)
+        n, k_max, min_seg = cache.n, m.k_max, kind.min_seg
+        cost, back = _sn_tables(cache, k_max - 1, min_seg)
+        # nothing reads layer k_max below t = n: its one window of last boundaries
+        s = np.arange(k_max * min_seg, n - min_seg + 1)
+        top = _costs(cache, s, n) + cost[k_max - 1, s]
+        i = int(np.argmin(top))
         for k in m:
-            if not np.isfinite(cost[k, cache.n]):
-                raise InfeasibleError(f"candidate K={k} infeasible for n={cache.n}")
-            out[k] = _sn_extract(back, k, cache.n, kind.min_seg)
+            if k < k_max:
+                best, taus = cost[k, n], _sn_extract(back, k, n)
+            else:
+                last = int(s[i])
+                best, taus = top[i], _sn_extract(back, k - 1, last) + [last]
+            if not np.isfinite(best):
+                raise InfeasibleError(f"candidate K={k} infeasible for n={n}")
+            out[k] = Segmentation(taus=tuple(taus), n=n, min_seg=min_seg)
         return out
 
     path = _bs_split_path(cache, m.k_max, kind.min_seg)

@@ -247,6 +247,7 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
     rows = max(1, min(b_reps, _CHUNK_BYTES // (8 * n)))
     if cfg.injected is None:
         buf = np.empty((rows, n))
+        buf_rows = list(buf)  # the row views, built once; out= alone fixes the shape
         # one generator, re-keyed to (seed, b) with a zero counter and an empty
         # buffer per replicate: the same stream as a fresh Philox(key=(seed, b))
         bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
@@ -263,7 +264,7 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
             for j in range(c):
                 key[1] = lo + j
                 bitgen.state = state
-                gen.standard_normal(n, out=mult[j])
+                gen.standard_normal(out=buf_rows[j])
         t_sharp = ((stud @ mult.T) / math.sqrt(n)).reshape(len(t_obs), -1, c).max(axis=1)
         counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
     return counts / b_reps

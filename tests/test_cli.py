@@ -167,6 +167,30 @@ def test_analyze_header_row_tolerated(tmp_path):
                  "--output", str(out)]) == 0
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_read_csv_from_pipe_reads_it_once():
+    import threading
+
+    from optics_cp.cli import _read_csv
+
+    text = "y,x\n" + "".join(f"{i}.5,{-i}\n" for i in range(2000)) + "1,inf\n"
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with pytest.raises(optics_cp.ParseError, match="line 2002: non-finite"):
+            _read_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 def test_analyze_infeasible_exit_3(tmp_path):
     csv = write_mean_csv(tmp_path / "data.csv")
     assert main(["analyze", "--input", str(csv), "--kmax", "90"]) == 3

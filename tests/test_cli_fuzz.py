@@ -149,3 +149,113 @@ def test_huge_tables_exit_as_unscaled_or_name_overflow(pair, detector, k_max):
         assert "overflow" in big_err or code == 4
     if big_code == 0:
         assert "Infinity" not in big_out and "NaN" not in big_out
+
+
+# --- the loadtxt reader against the line-by-line reader --------------------------
+
+def _read_csv_by_line(path):
+    """``_read_csv`` as a per-line loop over Python's float(): the oracle for the
+    loadtxt-based reader, which must give the same bytes or the same error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ParseError(f"{path} is empty")
+    start = 0
+    try:
+        [float(tok) for tok in lines[0][1].split(",")]
+    except ValueError:
+        start = 1  # header row
+    stray = next(((i, ln) for i, ln in lines[start:] if "_" in ln or not ln.isascii()), None)
+    if stray is not None:
+        raise ParseError(f"{path}: line {stray[0]}: underscore or non-ASCII character "
+                         f"in numeric row {stray[1]!r}")
+    rows = []
+    width = None
+    for lineno, ln in lines[start:]:
+        try:
+            row = [float(tok) for tok in ln.split(",")]
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: bad numeric row {ln!r}") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"{path}: line {lineno}: ragged row {ln!r}")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{path} has no data rows")
+    data = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        lineno, ln = lines[start + bad[0]]
+        raise ParseError(f"{path}: line {lineno}: non-finite value in row {ln!r}")
+    return data
+
+
+_CELL = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True, width=64).map(repr),
+    st.floats(-1e6, 1e6, width=64).map(lambda v: f"{v:.17e}"),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "Infinity", "NaN", "1e999", "-1e999",
+                     "1e-400", "+.5", "5.", "-0", "0x10", "1_0", "\u0663", "x", "", " ",
+                     "1 2", "#1", "'1'", "1e", "\x00"]),
+)
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x0c", "\x1f", " \t "])
+_ROW_END = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85"])
+_BLANK = st.sampled_from(["", " ", "\t", "  \t ", "\x0c", "\u00a0"])
+
+
+@st.composite
+def _csv_text(draw):
+    """CSV text over every way a line can end, blank and padded lines, a
+    header, odd cells, trailing commas and ragged rows."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 1, 2, 5, 30]))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.sampled_from(["c", "y", "x1", "a b", "1x"])) for _ in range(d)))
+    odd_cells = draw(st.booleans())
+    for _ in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(_BLANK))
+        width = d if draw(st.integers(0, 19)) else draw(st.integers(1, d + 2))  # ragged
+        if odd_cells:
+            cells = [draw(_CELL) for _ in range(width)]
+        else:
+            cells = [draw(st.floats(-1e9, 1e9, width=64).map(repr)) for _ in range(width)]
+        row = ",".join(draw(_PAD) + cell + draw(_PAD) for cell in cells)
+        if draw(st.integers(0, 19)) == 0:
+            row += ","  # trailing comma
+        lines.append(row)
+    ends = [draw(_ROW_END) for _ in lines]
+    text = "".join(ln + end for ln, end in zip(lines, ends))
+    return text if draw(st.integers(0, 3)) else text.rstrip("\r\n")
+
+
+def _outcome(read, path):
+    try:
+        data = read(path)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "data", (data.dtype.str, data.shape, data.tobytes())
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(text=_csv_text())
+def test_read_csv_matches_line_by_line_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, text)
+        assert _outcome(_read_csv, path) == _outcome(_read_csv_by_line, path)
+
+
+@pytest.mark.parametrize("text", [
+    "1\r\n2\r\n", "1\r2\r3", "y,x\n1,2\n\n \n3,4\n", "1,2\x0b3,4\x0c5,6\n",
+    "1,2,\n3,4,\n", "inf\n", "1\nnan\n", "1e999,1\n", "7\n", "1,2\n3\n", "1\n2,3\n",
+    "\t1 ,\x0b2\x0c\n", " \n\t\n", "a,b\n", "a,b\n\n  \n", "1\x852\n", "1,2\n3,\x1f4\n",
+])
+def test_read_csv_matches_line_by_line_reader_on_cases(tmp_path, text):
+    path = _write(str(tmp_path), text)
+    assert _outcome(_read_csv, path) == _outcome(_read_csv_by_line, path)

@@ -237,6 +237,28 @@ def test_blocked_sn_tables_match_per_t_reference(monkeypatch, kind, d_p, min_seg
             assert np.array_equal(back, want[1]), (n, k_max, rows)
 
 
+@pytest.mark.parametrize("kind", ["random", "integer", "zero"])
+@pytest.mark.parametrize("d_p", [1, 2, 6])
+@pytest.mark.parametrize("min_seg", [2, 5, 20])
+def test_fit_all_candidates_top_layer_matches_full_table(kind, d_p, min_seg):
+    # fit_all_candidates fills layers below k_max and evaluates k_max at t = n only
+    from optics_cp.detectors import _sn_tables
+
+    rng = np.random.default_rng([d_p, min_seg, len(kind), 1])
+    for n, k_max in ((2 * min_seg, 1), (4 * min_seg + 1, 3), (131, 1), (131, 9), (203, 5)):
+        k_max = min(k_max, n // min_seg - 1)  # the most boundaries that fit
+        x = _dp_data(kind, n, d_p, rng)
+        _, back = _sn_tables(CostCache.from_scores(x), k_max, min_seg)
+        segs = fit_all_candidates(x, CandidateSet(k_max), DetectorKind("sn", min_seg))
+        assert sorted(segs) == list(range(1, k_max + 1))
+        for k, seg in segs.items():
+            taus, t = [], n
+            for j in range(k, 0, -1):
+                t = int(back[j, t])
+                taus.append(t)
+            assert seg.taus == tuple(reversed(taus)), (n, k_max, k)
+
+
 def test_blocked_sn_tables_short_series():
     from optics_cp.detectors import _sn_tables
 
@@ -262,13 +284,14 @@ def test_sn_tables_scratch_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the two returned tables, four scratch buffers (diff, C, a temporary and
-    # the window) of at most one budget each, the (n + 1) float positions,
-    # and 256 KiB of transients: numpy's iterator buffers for a ufunc with
-    # broadcast inputs (8,192 elements for each of three operands, 192 KiB)
-    # plus the per-block row vectors and the row mask.  Sized per block
-    # without the budget (64 rows of 8,000), the buffers alone would take
-    # 16 MiB.
+    # the two returned tables, three scratch buffers (C, a temporary that
+    # takes the squared differences when d_p = 1, and the window) of at most
+    # one budget each, the (n + 1) float positions, and 256 KiB of
+    # transients: numpy's iterator buffers for a ufunc with broadcast inputs
+    # (8,192 elements for each of three operands, 192 KiB) plus the
+    # per-block row vectors, the row indices and the row mask.  Sized per
+    # block without the budget (64 rows of 8,000), the buffers alone would
+    # take 12 MiB.
     tables = 2 * (k_max + 1) * (n + 1) * 8
-    bound = tables + 4 * detectors._SN_BLOCK_BYTES + (n + 1) * 8 + (256 << 10)
+    bound = tables + 3 * detectors._SN_BLOCK_BYTES + (n + 1) * 8 + (256 << 10)
     assert peak < bound
