@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthError, ShapeError
+from .errors import ConfigError, LengthError, ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -123,7 +123,7 @@ class CandidateSet:
 
     def __post_init__(self):
         if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -172,7 +172,7 @@ def order_preserving_l_split(ts: TimeSeries, L: int) -> list[TimeSeries]:
     remainder is dropped.  Order within each subsample is preserved.
     """
     if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+        raise ConfigError(f"L must be >= 1, got {L}")
     m = ts.n // L
     if m < 2:
         raise LengthError(

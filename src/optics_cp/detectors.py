@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CandidateSet, Segmentation, data_matrix
-from .errors import DomainError, InfeasibleError
+from .errors import ConfigError, DomainError, InfeasibleError
 
 BINARY_SEGMENTATION = "bs"
 SEGMENT_NEIGHBORHOOD = "sn"
@@ -42,12 +42,12 @@ class DetectorKind:
 
     def __post_init__(self):
         if self.kind not in (BINARY_SEGMENTATION, SEGMENT_NEIGHBORHOOD):
-            raise ValueError(
+            raise ConfigError(
                 f"unknown detector {self.kind!r}; expected "
                 f"{BINARY_SEGMENTATION!r} or {SEGMENT_NEIGHBORHOOD!r}"
             )
         if self.min_seg < 2:
-            raise ValueError(f"min_seg must be >= 2, got {self.min_seg}")
+            raise ConfigError(f"min_seg must be >= 2, got {self.min_seg}")
 
 
 @dataclass(frozen=True)
@@ -245,12 +245,14 @@ def fit_all_candidates(scores, m: CandidateSet, kind: DetectorKind) -> dict[int,
     first k splits for candidate k.
     """
     cache = CostCache.from_scores(scores)
-    for k in m:
-        if cache.n < (k + 1) * kind.min_seg:
-            raise InfeasibleError(
-                f"candidate K={k} infeasible: cannot place {k} boundaries in n={cache.n} "
-                f"with min_seg={kind.min_seg}: need n >= {(k + 1) * kind.min_seg}"
-            )
+    # the smallest count whose k + 1 segments do not fit; found without
+    # walking the counts, so a huge k_max fails at once
+    k = max(1, cache.n // kind.min_seg)
+    if k <= m.k_max:
+        raise InfeasibleError(
+            f"candidate K={k} infeasible: cannot place {k} boundaries in n={cache.n} "
+            f"with min_seg={kind.min_seg}: need n >= {(k + 1) * kind.min_seg}"
+        )
 
     out: dict[int, Segmentation] = {}
     if kind.kind == SEGMENT_NEIGHBORHOOD:

@@ -21,8 +21,12 @@ class InfeasibleError(OpticsError):
     """No segmentation exists under the given length and spacing constraints."""
 
 
-class ConfigError(OpticsError):
-    """A configuration object is internally inconsistent."""
+class ConfigError(OpticsError, ValueError):
+    """A configuration object or argument is invalid.
+
+    Also a ValueError, so that callers catching ValueError for a bad
+    argument catch it.
+    """
 
 
 class SpecError(OpticsError):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import CandidateSet, TimeSeries, order_preserving_l_split, parity_split, split_like
 from .detectors import DetectorKind
+from .errors import ConfigError
 from .inference import (
     BootstrapConfig,
     ConfidenceSet,
@@ -41,7 +42,7 @@ class HuberConfig:
 
     def __post_init__(self):
         if not (np.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
+            raise ConfigError(f"kappa must be finite and positive, got {self.kappa}")
 
 
 def _cauchy(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,7 +62,7 @@ def cauchy_combine(pvals) -> float:
     """
     p = np.asarray(pvals, dtype=np.float64).ravel()
     if p.size == 0:
-        raise ValueError("no p-values to combine")
+        raise ConfigError("no p-values to combine")
     return float(_cauchy(p[:, None])[1][0])
 
 
@@ -71,7 +72,7 @@ def huber_loss(u, kappa: float):
     Scalars map to floats; vectors are summed over coordinates.
     """
     if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+        raise ConfigError(f"kappa must be positive, got {kappa}")
     arr = np.asarray(u, dtype=np.float64)
     vals = _huber_elem(arr, kappa)
     if arr.ndim == 0:
@@ -207,6 +208,6 @@ def m_optics(
     with uniform Cauchy combination.  m_dep = 0 reduces to the base
     procedure."""
     if m_dep < 0:
-        raise ValueError(f"m_dep must be >= 0, got {m_dep}")
+        raise ConfigError(f"m_dep must be >= 0, got {m_dep}")
     return _run_variant(ts, model, kind, m_set, alpha, cfg or BootstrapConfig(),
                         L=m_dep + 1, covariates=covariates)

@@ -22,18 +22,28 @@ the bootstrap p-values exactly invariant when all scores are rescaled
 by a positive constant.  Multipliers for replicate b come from a Philox
 counter stream keyed by (seed, b), so they are the same however the
 replicates are grouped: the bootstrap draws them in fixed-size chunks of
-replicates from one generator re-keyed per replicate.
+replicates, each thread from its own generator re-keyed per replicate.
+
+Threads: the bootstrap pins numpy's OpenBLAS to one thread and spends the
+T threads it had on chunks instead: the caller and T - 1 helper threads
+each draw a chunk's multipliers and multiply them on one BLAS thread.
+Every chunk has the same shape at any T, so the p-values do not depend
+on T or on ``OPENBLAS_NUM_THREADS``; they can still depend on the BLAS
+build and the chunk size, through the last bits of the GEMM.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
+from . import blas
 from .core import (
     CandidateSet,
     Segmentation,
@@ -53,8 +63,9 @@ _STUDENT_GRID = 8192.0
 _SEED_MASK = (1 << 64) - 1
 
 # Replicates are drawn and multiplied in chunks of about this many bytes
-# of multipliers, so bootstrap memory is O(chunk n) rather than O(B n).
-_CHUNK_BYTES = 8 << 20
+# of multipliers, one buffer per thread, so bootstrap memory is O(T chunk)
+# rather than O(B n).
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -236,7 +247,9 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
 
     ``stud`` stacks the studentized rival rows of every candidate, candidate
     g owning an equal block of consecutive rows.  Replicates run in chunks:
-    one GEMM per chunk over all rows, then the max over each block.
+    one GEMM per chunk over all rows, then the max over each block.  The
+    chunks are shared out over threads, and an error in any thread stops
+    the others after their current chunk and is raised here.
     """
     if cfg.injected is not None and cfg.injected.shape[1] != n:
         raise ConfigError(f"injected multipliers have length {cfg.injected.shape[1]}, expected {n}")
@@ -245,29 +258,63 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
         return np.ones(len(t_obs))
     b_reps, seed = cfg.b_reps, cfg.seed & _SEED_MASK
     rows = max(1, min(b_reps, _CHUNK_BYTES // (8 * n)))
-    if cfg.injected is None:
-        buf = np.empty((rows, n))
-        buf_rows = list(buf)  # the row views, built once; out= alone fixes the shape
-        # one generator, re-keyed to (seed, b) with a zero counter and an empty
-        # buffer per replicate: the same stream as a fresh Philox(key=(seed, b))
-        bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        gen = np.random.Generator(bitgen)
-        state = bitgen.state
-        key = state["state"]["key"]
-    counts = np.zeros(len(t_obs), dtype=np.int64)
-    for lo in range(0, b_reps, rows):
-        c = min(rows, b_reps - lo)
-        if cfg.injected is not None:
-            mult = cfg.injected[lo : lo + c]
-        else:
-            mult = buf[:c]
-            for j in range(c):
-                key[1] = lo + j
-                bitgen.state = state
-                gen.standard_normal(out=buf_rows[j])
-        t_sharp = ((stud @ mult.T) / math.sqrt(n)).reshape(len(t_obs), -1, c).max(axis=1)
-        counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
-    return counts / b_reps
+    starts = range(0, b_reps, rows)
+    tickets = itertools.count()  # the next chunk to take; next() on it is atomic
+    stop = threading.Event()
+    results, errors = [], []
+
+    def count_chunks():
+        # this thread's buffer, generator and counts
+        counts = np.zeros(len(t_obs), dtype=np.int64)
+        if cfg.injected is None:
+            buf = np.empty((rows, n))
+            buf_rows = list(buf)  # the row views, built once; out= alone fixes the shape
+            # one generator, re-keyed to (seed, b) with a zero counter and an empty
+            # buffer per replicate: the same stream as a fresh Philox(key=(seed, b))
+            bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+            gen = np.random.Generator(bitgen)
+            state = bitgen.state
+            key = state["state"]["key"]
+        while not stop.is_set() and (i := next(tickets)) < len(starts):
+            lo = starts[i]
+            c = min(rows, b_reps - lo)
+            if cfg.injected is not None:
+                mult = cfg.injected[lo : lo + c]
+            else:
+                mult = buf[:c]
+                for j in range(c):
+                    key[1] = lo + j
+                    bitgen.state = state
+                    gen.standard_normal(out=buf_rows[j])
+            t_sharp = ((stud @ mult.T) / math.sqrt(n)).reshape(len(t_obs), -1, c).max(axis=1)
+            counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
+        return counts
+
+    def work():
+        try:
+            results.append(count_chunks())
+        except BaseException as exc:  # an interrupt too: the others stop after their chunk
+            errors.append(exc)
+            stop.set()
+
+    # the caller and up to T - 1 helpers share the chunks, T being numpy's BLAS
+    # thread count; each multiplies on one BLAS thread, and every chunk has the
+    # same shape at any T, so the counts do not depend on T
+    with blas.single_thread() as threads:
+        helpers = [threading.Thread(target=work, daemon=True)
+                   for _ in range(min(threads, len(starts)) - 1)]
+        try:
+            for t in helpers:
+                t.start()
+            work()
+        finally:
+            stop.set()  # the chunks are all taken on success; on failure none is started
+            for t in helpers:
+                if t.ident is not None:
+                    t.join()
+    if errors:
+        raise errors[0]
+    return sum(results) / b_reps
 
 
 def bootstrap_pvalue(xm: XiMatrix, cfg: BootstrapConfig) -> float:
@@ -279,7 +326,7 @@ def bootstrap_pvalue(xm: XiMatrix, cfg: BootstrapConfig) -> float:
 def confidence_set(table: PValueTable, alpha: float) -> ConfidenceSet:
     """Threshold the table at alpha, retaining the best candidate if all fail."""
     if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     members = tuple(k for k, p in zip(table.candidates, table.p_hat) if p > alpha)
     if members:
         return ConfidenceSet(alpha=alpha, members=members)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries, _as_matrix
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 MEAN = "mean"
 VARIANCE = "variance"
@@ -40,7 +40,7 @@ class ScoreModel:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
 
     def score_dim(self, d: int) -> int:
         """Score dimension produced from d-dimensional input."""
@@ -63,7 +63,7 @@ class ScoreSeries:
     def __post_init__(self):
         arr = _as_matrix(self.data)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("score series contains non-finite values")
+            raise ConfigError("score series contains non-finite values")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import ctypes
-import functools
 import math
 import os
 import pickle
@@ -31,6 +29,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import blas
 from .core import CandidateSet, TimeSeries
 from .detectors import SEGMENT_NEIGHBORHOOD, DetectorKind
 from .errors import OpticsError, SpecError
@@ -77,6 +76,9 @@ class GeneratorSpec:
             raise SpecError(f"d must be >= 1, got {self.d}")
         if self.m_dep < 0:
             raise SpecError(f"m_dep must be >= 0, got {self.m_dep}")
+        if (self.n_total + self.m_dep) * self.d > np.iinfo(np.intp).max:
+            raise SpecError(f"n_total={self.n_total}, m_dep={self.m_dep} and d={self.d} "
+                            "ask for more noise values than an array can hold")
         if not math.isfinite(self.amplitude):
             raise SpecError(f"amplitude must be finite, got {self.amplitude}")
         if not (math.isfinite(self.noise_param) and self.noise_param > 0):
@@ -214,51 +216,11 @@ def default_k_max(n_total: int) -> int:
     return max(1, int(math.log(max(n_total // 2, 2))))
 
 
-@functools.cache
-def _blas_thread_calls():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    # glob and signal are imported where a Monte Carlo call needs them: imported
-    # with the package they moved the heap layout of analyze, raising its peak RSS
-    import glob
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Pin numpy's OpenBLAS to one thread, restoring the previous count after.
-
-    GEMM results can differ in their last bits between BLAS thread counts,
-    so every Monte Carlo run uses one BLAS thread whichever process runs it.
-    """
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 # Forked worker processes of run_experiment, kept across calls so that
 # repeated calls pay no process start-up: (pid, task stream, reply stream).
 # Forking afresh for each call instead, measured on the benchmark's
 # simulate_mix workload (2 cores), raised its median latency from 18.7 to 27.0 ms.
-# The lock serializes calls, which share the workers and the BLAS pin.
+# The lock serializes calls, which share the workers.
 _workers: list[tuple[int, BinaryIO, BinaryIO]] = []
 _lock = threading.Lock()
 
@@ -299,10 +261,8 @@ def _serve(task_fd: int, reply_fd: int) -> None:
 
     # Ctrl-C reaches the whole process group; only the caller handles it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    calls = _blas_thread_calls()
-    if calls is not None:
-        calls[1](1)
-    with os.fdopen(task_fd, "rb") as tasks, os.fdopen(reply_fd, "wb") as replies:
+    with blas.single_thread(), os.fdopen(task_fd, "rb") as tasks, \
+         os.fdopen(reply_fd, "wb") as replies:
         while True:
             try:
                 task = pickle.load(tasks)
@@ -472,7 +432,7 @@ def run_experiment(
     L = ms_l if method == "ms" else spec.m_dep + 1 if method == "mdep" else 1
     h = (huber or HuberConfig()) if method == "huber" else None
     job = _Runs(spec, detector, CandidateSet(k_max), alpha, b_reps, seed, L, h)
-    with _lock, _single_blas_thread():
+    with _lock, blas.single_thread():
         records = _run_all(job, runs, min(threads, runs))
 
     return ExperimentReport(

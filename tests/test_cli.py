@@ -465,3 +465,65 @@ def test_simulate_dead_worker_exit_3(fresh_pool, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Monte Carlo worker process ") and "died" in err
     assert "Traceback" not in err
+
+
+def test_analyze_sigint_in_bootstrap_exit_130(tmp_path):
+    csv = tmp_path / "big.csv"
+    values = np.random.default_rng(3).standard_normal(64_000)
+    csv.write_text("\n".join(f"{v:.6f}" for v in values) + "\n")
+    script = tmp_path / "child.py"
+    # the child says when it enters the bootstrap; B is large enough to keep it there
+    script.write_text(
+        "import sys\n"
+        "from optics_cp import inference\n"
+        "from optics_cp.cli import main\n"
+        "real = inference._bootstrap\n"
+        "def announced(*args):\n"
+        "    print('bootstrap', flush=True)\n"
+        "    return real(*args)\n"
+        "inference._bootstrap = announced\n"
+        f"sys.exit(main(['analyze', '--input', {str(csv)!r}, '--detector', 'bs', "
+        f"'--B', '200000', '--output', {str(tmp_path / 'out.json')!r}]))\n"
+    )
+    proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=_child_env())
+    try:
+        assert proc.stdout.readline() == "bootstrap\n"
+        time.sleep(0.5)  # into the chunks
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        out, err = proc.communicate(timeout=30)
+        waited = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n" and out == ""
+    assert waited < 5
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--alpha", "1.5"], "alpha must be in (0, 1)"),
+    (["--alpha", "nan"], "alpha must be in (0, 1)"),
+    (["--min-seg", "1"], "min_seg must be >= 2"),
+    (["--kmax", "0"], "k_max must be >= 1"),
+    (["--variant", "huber:-1"], "kappa must be finite and positive"),
+    (["--B", "0"], "b_reps must be >= 1"),
+])
+def test_analyze_bad_setting_is_config_error_exit_3(tmp_path, capsys, argv, message):
+    csv = write_mean_csv(tmp_path / "data.csv", n_obs=100)
+    assert main(["analyze", "--input", str(csv), "--output", "-"] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_internal_value_error_is_not_reported_as_exit_3(monkeypatch):
+    # only the package's own errors map to exit codes; anything else is a bug
+    def broken(args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("optics_cp.cli._run_analyze", broken)
+    with pytest.raises(ValueError, match="^internal$"):
+        main(["analyze", "--input", "unused.csv"])

@@ -116,6 +116,72 @@ def test_analyze_any_csv_ends_in_documented_exit(text, model, detector, variant,
         assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
 
 
+_HUGE = str(10**20)
+
+
+def _exit_of(argv):
+    """Exit code and stderr of ``main``; any exception it lets out fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error:") and not out.getvalue()
+    return code
+
+
+@settings(max_examples=120, **_SETTINGS)
+@given(
+    alpha=st.sampled_from(["0.1", "0.5", "0", "1", "-0.5", "1.5", "nan", "inf", "1e-300"]),
+    b_reps=st.sampled_from(["1", "7", "0", "-3"]),
+    k_max=st.sampled_from([None, "1", "3", "0", "-2", "1000000000", _HUGE]),
+    min_seg=st.sampled_from(["2", "5", "1", "0", "-4", _HUGE]),
+    variant=st.sampled_from(["plain", "ms:2", "ms:0", "ms:-1", "ms:x", "ms:" + _HUGE, "huber:1.5",
+                             "huber:0", "huber:-1", "huber:nan", "huber:inf", "huber:",
+                             "huber:adaptive", "mdep:1", "mdep:-1", "mdep:x", "bogus", ""]),
+    model=st.sampled_from(FAMILIES + ("bogus",)),
+    detector=st.sampled_from(["bs", "sn", "xx"]),
+    threads=st.sampled_from(["1", "2", "0", "-1"]),
+)
+def test_analyze_any_settings_end_in_documented_exit(alpha, b_reps, k_max, min_seg, variant,
+                                                     model, detector, threads):
+    # a valid table, so the settings decide; a bad setting is exit 3, never a traceback
+    rng = np.random.default_rng(0)
+    table = np.column_stack([np.repeat([0.0, 2.0], 40), np.ones(80)]) + rng.standard_normal((80, 2))
+    argv = ["--alpha", alpha, "--B", b_reps, "--min-seg", min_seg, "--variant", variant,
+            "--model", model, "--detector", detector, "--threads", threads, "--seed", "1",
+            "--output", "-"]
+    if k_max is not None:
+        argv += ["--kmax", k_max]
+    with tempfile.TemporaryDirectory() as tmp:
+        text = "\n".join(",".join(repr(float(v)) for v in row) for row in table) + "\n"
+        assert _exit_of(["analyze", "--input", _write(tmp, text)] + argv) in (0, 3, 4)
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(
+    alpha=st.sampled_from([None, "0.1", "0", "1.5", "nan"]),
+    b_reps=st.sampled_from([None, "5", "0", "-1"]),
+    runs=st.sampled_from([None, "1", "0", "-1"]),
+    k_max=st.sampled_from([None, "2", "0", _HUGE]),
+    min_seg=st.sampled_from([None, "5", "1", _HUGE]),
+    ms_l=st.sampled_from([None, "2", "0", "-1", _HUGE]),
+    mdep=st.sampled_from([None, "0", "1", "-1", _HUGE]),
+    amplitude=st.sampled_from([None, "1.0", "nan", "inf", "1e200"]),
+    detector=st.sampled_from([None, "bs", "xx"]),
+    preset=st.sampled_from(["tab1", "vary_n", "vary_m", "nope"]),
+)
+def test_simulate_any_settings_end_in_documented_exit(alpha, b_reps, runs, k_max, min_seg, ms_l,
+                                                      mdep, amplitude, detector, preset):
+    argv = ["simulate", "--preset", preset, "--output", "-"]
+    for flag, val in (("--alpha", alpha), ("--B", b_reps or "5"), ("--runs", runs or "1"),
+                      ("--kmax", k_max), ("--min-seg", min_seg), ("--ms-l", ms_l),
+                      ("--mdep", mdep), ("--amplitude", amplitude), ("--detector", detector)):
+        if val is not None:
+            argv += [flag, val]
+    assert _exit_of(argv) in (0, 3, 4)
+
+
 @settings(max_examples=60, **_SETTINGS)
 @given(table=_numeric_csv(), token=st.sampled_from(_UNPLAIN), pick=st.integers(0, 10**6))
 def test_unplain_number_is_parse_error_naming_its_line(table, token, pick):

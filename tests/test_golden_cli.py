@@ -14,12 +14,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optics_cp
 from optics_cp.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -95,6 +97,23 @@ def test_golden_cli_output(name, golden, corpus_dir, monkeypatch):
     # inputs are passed by relative path, which analyze echoes in its output
     monkeypatch.chdir(corpus_dir)
     assert _stdout_sha(CAPTURES[name]) == golden[name], f"stdout of {name} changed"
+
+
+def test_analyze_bytes_independent_of_openblas_threads(corpus_dir):
+    # B = 4000 makes three chunks at this size, so two BLAS threads become two
+    # bootstrap threads; OpenBLAS caps the count at the cores it finds
+    argv = CAPTURES["analyze/mean/plain/sn/json"][:]
+    argv[argv.index("--B") + 1] = "4000"
+    src = str(Path(optics_cp.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2", "3"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "optics_cp"] + argv, cwd=corpus_dir, env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def _record() -> None:

@@ -7,19 +7,23 @@ from optics_cp import (
     ConfigError,
     DetectorKind,
     GeneratorSpec,
+    HuberConfig,
     ScoreModel,
     ScoreSeries,
     Segmentation,
     ShapeError,
     TimeSeries,
     bootstrap_pvalue,
+    cauchy_combine,
     confidence_set,
     copss_estimate,
     criterion,
+    m_optics,
     optics,
     run_experiment,
     xi_matrix,
 )
+from optics_cp.blas import single_thread as real_pin
 from optics_cp.inference import PValueTable
 from optics_cp.inference import test_statistic as studentized_max
 
@@ -429,3 +433,189 @@ def test_bootstrap_memory_independent_of_replicates():
     finally:
         tracemalloc.stop()
     assert peak < b_reps * n_half * 8 / 2
+
+
+# --- the threaded bootstrap ------------------------------------------------------
+
+_HALF = 120
+
+
+def _force_threads(monkeypatch, threads):
+    """Make the bootstrap find ``threads`` BLAS threads, whatever the machine has;
+    it still pins BLAS through the real helper."""
+    import contextlib
+
+    from optics_cp import blas
+
+    @contextlib.contextmanager
+    def pinned():
+        with real_pin():
+            yield threads
+
+    monkeypatch.setattr(blas, "single_thread", pinned)
+
+
+def _blas_count():
+    from optics_cp import blas
+
+    calls = blas._thread_calls()
+    return None if calls is None else calls[0]()
+
+
+def _rows(k=4, n=_HALF, seed=0):
+    """Grid-snapped rival rows of k candidates and observed statistics spread
+    over the bootstrap distribution, so that the counts vary."""
+    rng = np.random.default_rng(seed)
+    stud = np.round(rng.standard_normal((k * (k - 1), n)) * 8192.0) / 8192.0
+    return stud, np.linspace(0.5, 2.5, k)
+
+
+@pytest.mark.parametrize("b_reps", [50, 130])  # below one 64-replicate chunk; no multiple of 3, 7 or 64
+@pytest.mark.parametrize("injected", [False, True])
+def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, b_reps, injected):
+    from optics_cp import inference
+
+    stud, t_obs = _rows()
+    inj = np.random.default_rng(4).standard_normal((b_reps, _HALF)) if injected else None
+    cfg = BootstrapConfig(b_reps=b_reps, seed=9, injected=inj)
+    results = {}
+    for reps in (3, 7, 64):
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * reps)
+        for threads in (1, 2, 3, 4):
+            _force_threads(monkeypatch, threads)
+            results[reps, threads] = inference._bootstrap(stud, t_obs, cfg, _HALF).tobytes()
+    assert len(set(results.values())) == 1
+    assert 0 < np.frombuffer(results[3, 1]).sum() < len(t_obs)  # counts neither all nor none
+
+
+def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch):
+    # 8 threads take 400 one-replicate chunks from the shared counter, switching
+    # as often as the interpreter allows: a chunk taken twice or lost moves a count
+    import sys
+
+    from optics_cp import inference
+
+    stud, t_obs = _rows()
+    cfg = BootstrapConfig(b_reps=400, seed=5)
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)
+    _force_threads(monkeypatch, 1)
+    serial = inference._bootstrap(stud, t_obs, cfg, _HALF)
+    _force_threads(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(inference._bootstrap(stud, t_obs, cfg, _HALF), serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _watched(stud, fail):
+    """``stud`` as an array whose products, one per chunk, sleep a little (so
+    threads interleave) and go through ``fail(thread ident, chunk number)``."""
+    import collections
+    import threading
+    import time
+
+    chunks = collections.Counter()
+
+    class Watched(np.ndarray):
+        def __matmul__(self, other):
+            me = threading.get_ident()
+            chunks[me] += 1
+            time.sleep(0.002)
+            fail(me, chunks[me])
+            return np.matmul(self.view(np.ndarray), other)
+
+    return stud.view(Watched), chunks
+
+
+@pytest.mark.parametrize("who", ["helper", "caller"])
+def test_threaded_bootstrap_error_stops_every_thread(monkeypatch, who):
+    import threading
+
+    from optics_cp import inference
+
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)  # one replicate per chunk
+    _force_threads(monkeypatch, 3)
+    caller = threading.get_ident()
+    # a helper's third chunk raises an error, or the caller's an interrupt
+    error = RuntimeError("third chunk") if who == "helper" else KeyboardInterrupt()
+    raised = []
+
+    def fail(me, chunk):
+        if (me == caller) == (who == "caller") and chunk == 3 and not raised:
+            raised.append(me)
+            raise error
+
+    stud, t_obs = _rows()
+    watched, chunks = _watched(stud, fail)
+    threads_before, count_before = set(threading.enumerate()), _blas_count()
+    with pytest.raises(type(error)) as info:
+        inference._bootstrap(watched, t_obs, BootstrapConfig(b_reps=300, seed=1), _HALF)
+    assert info.value is error
+    assert set(threading.enumerate()) == threads_before
+    assert _blas_count() == count_before
+    # the others stopped after the chunk they were on, long before the 300th
+    assert sum(chunks.values()) < 100
+
+
+def test_threaded_bootstrap_without_openblas_runs_serially(monkeypatch):
+    import threading
+
+    from optics_cp import blas, inference
+
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 5)
+    stud, t_obs = _rows()
+    cfg = BootstrapConfig(b_reps=60, seed=2)
+    want = inference._bootstrap(stud, t_obs, cfg, _HALF)
+    monkeypatch.setattr(blas, "_thread_calls", lambda: None)
+    watched, chunks = _watched(stud, lambda me, chunk: None)
+    assert np.array_equal(inference._bootstrap(watched, t_obs, cfg, _HALF), want)
+    assert list(chunks) == [threading.get_ident()] and chunks[threading.get_ident()] == 12
+
+
+def test_concurrent_optics_calls_get_the_serial_bytes(monkeypatch):
+    import threading
+
+    from optics_cp import inference
+
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 16)  # 13 chunks of B = 200
+    series = {s: mean_series(s) for s in range(4)}
+    serial = {s: run_pipeline(ts, seed=s)[1] for s, ts in series.items()}
+    count_before = _blas_count()
+    tables = {}
+
+    def call(s):
+        tables[s] = run_pipeline(series[s], seed=s)[1]
+
+    callers = [threading.Thread(target=call, args=(s,)) for s in series]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in callers)
+    assert _blas_count() == count_before
+    for s, table in serial.items():
+        assert tables[s].p_hat.tobytes() == table.p_hat.tobytes()
+        assert tables[s].t_stat.tobytes() == table.t_stat.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DetectorKind("xx"),
+    lambda: DetectorKind("sn", min_seg=1),
+    lambda: CandidateSet(0),
+    lambda: ScoreModel("xx"),
+    lambda: ScoreSeries(np.array([1.0, np.nan])),
+    lambda: confidence_set(run_pipeline(mean_series(1), b=20)[1], 1.0),
+    lambda: HuberConfig(kappa=0.0),
+    lambda: cauchy_combine([]),
+    lambda: m_optics(mean_series(1), ScoreModel("mean"), DetectorKind("sn"), CandidateSet(2),
+                     m_dep=-1),
+], ids=["detector", "min_seg", "k_max", "family", "non_finite", "alpha", "huber", "cauchy",
+        "m_dep"])
+def test_user_facing_checks_raise_config_error(make):
+    # ConfigError is also a ValueError, which these checks raised before
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert isinstance(info.value, ValueError)
