@@ -25,8 +25,9 @@ replicates are grouped: the bootstrap draws them in fixed-size chunks of
 replicates, each thread from its own generator re-keyed per replicate.
 
 Threads: the bootstrap pins numpy's OpenBLAS to one thread and spends the
-T threads it had on chunks instead: the caller and T - 1 helper threads
-each draw a chunk's multipliers and multiply them on one BLAS thread.
+T threads it had on chunks instead: the caller and up to T - 1 helper
+threads, no more than 16 MiB of chunk buffers allow, each draw a chunk's
+multipliers and multiply them on one BLAS thread.
 Every chunk has the same shape at any T, so the p-values do not depend
 on T or on ``OPENBLAS_NUM_THREADS``; they can still depend on the BLAS
 build and the chunk size, through the last bits of the GEMM.
@@ -63,9 +64,13 @@ _STUDENT_GRID = 8192.0
 _SEED_MASK = (1 << 64) - 1
 
 # Replicates are drawn and multiplied in chunks of about this many bytes
-# of multipliers, one buffer per thread, so bootstrap memory is O(T chunk)
+# of multipliers, one buffer per thread, so bootstrap memory is O(chunk)
 # rather than O(B n).
 _CHUNK_BYTES = 4 << 20
+
+# The threads' buffers together stay within this many bytes, which caps the
+# thread count, so bootstrap memory does not grow with the machine's cores.
+_BUFFERS_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -298,23 +303,37 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
             stop.set()
 
     # the caller and up to T - 1 helpers share the chunks, T being numpy's BLAS
-    # thread count; each multiplies on one BLAS thread, and every chunk has the
-    # same shape at any T, so the counts do not depend on T
+    # thread count, as far as the buffer budget allows; each multiplies on one
+    # BLAS thread, and every chunk has the same shape at any T, so the counts
+    # do not depend on T
+    budget = max(1, _BUFFERS_BYTES // (8 * rows * n))
     with blas.single_thread() as threads:
         helpers = [threading.Thread(target=work, daemon=True)
-                   for _ in range(min(threads, len(starts)) - 1)]
+                   for _ in range(min(threads, len(starts), budget) - 1)]
         try:
             for t in helpers:
                 t.start()
             work()
         finally:
             stop.set()  # the chunks are all taken on success; on failure none is started
-            for t in helpers:
-                if t.ident is not None:
-                    t.join()
+            _join_all(helpers)
     if errors:
         raise errors[0]
     return sum(results) / b_reps
+
+
+def _join_all(threads: list[threading.Thread]) -> None:
+    """Wait for every started thread, through any interrupt; the first
+    interrupt is re-raised once none is left running."""
+    interrupt = None
+    for t in threads:
+        while t.is_alive():
+            try:
+                t.join()
+            except KeyboardInterrupt as exc:
+                interrupt = interrupt or exc
+    if interrupt is not None:
+        raise interrupt
 
 
 def bootstrap_pvalue(xm: XiMatrix, cfg: BootstrapConfig) -> float:

@@ -66,6 +66,8 @@ class GeneratorSpec:
             raise SpecError(f"unknown design {self.design!r}")
         if self.noise not in (NOISE_NORMAL, NOISE_STUDENT_T, NOISE_SCALED_NORMAL):
             raise SpecError(f"unknown noise {self.noise!r}")
+        if self.n_total < 1:
+            raise SpecError(f"n_total must be >= 1, got {self.n_total}")
         taus = tuple(int(t) for t in self.taus_star)
         object.__setattr__(self, "taus_star", taus)
         if list(taus) != sorted(set(taus)):

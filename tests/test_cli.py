@@ -345,6 +345,16 @@ def test_simulate_zero_dimensional_spec_exit_3(tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_total", [-5, 0])
+def test_simulate_spec_with_no_points_exit_3(tmp_path, capsys, n_total):
+    spec_file = tmp_path / "empty.json"
+    spec_file.write_text(json.dumps({"generator": {"n_total": n_total, "taus_star": []},
+                                     "runs": 1}))
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 3
+    err = capsys.readouterr().err
+    assert "n_total must be >= 1" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("noise_param", 0, "noise_param must be finite and > 0"),
     ("noise_param", float("inf"), "noise_param must be finite and > 0"),

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -180,6 +181,37 @@ def test_simulate_any_settings_end_in_documented_exit(alpha, b_reps, runs, k_max
         if val is not None:
             argv += [flag, val]
     assert _exit_of(argv) in (0, 3, 4)
+
+
+@settings(max_examples=80, **_SETTINGS)
+@given(
+    generator=st.fixed_dictionaries({
+        "n_total": st.sampled_from([-5, 0, 1, 3, 8, 40]),
+        "taus_star": st.sampled_from([[], [1], [4], [20], [4, 4], [20, 4], [0], [-3]]),
+    }, optional={
+        "design": st.sampled_from(["mean", "regression", "variance", "xx"]),
+        "d": st.sampled_from([-1, 0, 1, 2]),
+        "amplitude": st.sampled_from([0, -1, 2.0, 1e200]),
+        "noise": st.sampled_from(["normal", "student_t", "scaled_normal", "xx"]),
+        "noise_param": st.sampled_from([-1, 0, 0.5, 10]),
+        "m_dep": st.sampled_from([-1, 0, 1, 50]),
+    }),
+    config=st.fixed_dictionaries({}, optional={
+        "method": st.sampled_from(["optics", "ms", "huber", "mdep", "copss", "xx"]),
+        "detector": st.sampled_from(["sn", "bs", "xx"]),
+        "alpha": st.sampled_from([0, 0.1, 1]),
+        "huber_kappa": st.sampled_from([-1, 1.5]),
+        "min_seg": st.sampled_from([0, 2, 100]),
+        "ms_l": st.sampled_from([0, 2, 50]),
+        "k_max": st.sampled_from([None, -1, 2, 10**30]),
+    }),
+)
+def test_simulate_any_spec_file_ends_in_documented_exit(generator, config):
+    # well-typed values that nothing but the library checks: exit 3 or 4, never a traceback
+    spec = dict({"generator": generator, "runs": 1, "b_reps": 5}, **config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, json.dumps(spec))
+        assert _exit_of(["simulate", "--spec", path, "--output", "-"]) in (0, 3, 4)
 
 
 @settings(max_examples=60, **_SETTINGS)

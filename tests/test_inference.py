@@ -418,21 +418,37 @@ def test_rekeyed_multipliers_at_awkward_seeds(monkeypatch, seed):
         _assert_matches_reference(_noisy_scores(31), BootstrapConfig(b_reps=b_reps, seed=seed))
 
 
-def test_bootstrap_memory_independent_of_replicates():
+def _bootstrap_peak(n_half, b_reps):
+    """Peak traced memory of one analysis whose bootstrap dominates."""
     import tracemalloc
 
     from optics_cp.inference import run_on_scores
 
-    n_half, b_reps = 20_000, 500
     scores = _noisy_scores(30, n=2 * n_half)
     tracemalloc.start()
     try:
         run_on_scores(scores, DetectorKind("bs", min_seg=5), CandidateSet(4), 0.1,
                       BootstrapConfig(b_reps=b_reps, seed=1))
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_bootstrap_memory_independent_of_replicates():
+    n_half, b_reps = 20_000, 500
+    assert _bootstrap_peak(n_half, b_reps) < b_reps * n_half * 8 / 2
+
+
+def test_bootstrap_memory_independent_of_threads(monkeypatch):
+    # on a machine with 20 BLAS threads the chunk buffers of all threads
+    # together stay within a fixed budget
+    from optics_cp import inference
+
+    _force_threads(monkeypatch, 20)
+    n_half, b_reps = 20_000, 500
+    peak = _bootstrap_peak(n_half, b_reps)
     assert peak < b_reps * n_half * 8 / 2
+    assert peak < inference._BUFFERS_BYTES + (8 << 20)
 
 
 # --- the threaded bootstrap ------------------------------------------------------
@@ -558,6 +574,39 @@ def test_threaded_bootstrap_error_stops_every_thread(monkeypatch, who):
     assert _blas_count() == count_before
     # the others stopped after the chunk they were on, long before the 300th
     assert sum(chunks.values()) < 100
+
+
+def test_interrupt_while_joining_waits_for_every_helper(monkeypatch):
+    # a second Ctrl-C during the join: the caller keeps joining, so no helper is
+    # left inside numpy when the pin is released, and then re-raises it
+    import threading
+    import time
+
+    from optics_cp import inference
+
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)
+    _force_threads(monkeypatch, 3)
+    caller = threading.get_ident()
+    stud, t_obs = _rows()
+    # helpers are slow, so they are still busy when the caller runs out of chunks
+    watched, chunks = _watched(stud, lambda me, chunk: me != caller and time.sleep(0.1))
+    real_join = threading.Thread.join
+    interrupted = []
+
+    def join(self, timeout=None):
+        if threading.get_ident() == caller and not interrupted:
+            interrupted.append(self.is_alive())
+            raise KeyboardInterrupt
+        return real_join(self, timeout)
+
+    monkeypatch.setattr(threading.Thread, "join", join)
+    threads_before, count_before = set(threading.enumerate()), _blas_count()
+    with pytest.raises(KeyboardInterrupt):
+        inference._bootstrap(watched, t_obs, BootstrapConfig(b_reps=20, seed=1), _HALF)
+    assert interrupted == [True]
+    assert set(threading.enumerate()) == threads_before
+    assert _blas_count() == count_before
+    assert sum(chunks.values()) == 20  # every chunk was finished
 
 
 def test_threaded_bootstrap_without_openblas_runs_serially(monkeypatch):
