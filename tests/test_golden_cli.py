@@ -1,9 +1,11 @@
-"""Golden corpus: the CLI's stdout must stay byte-identical across refactors.
+"""Golden corpus: the CLI's output must stay byte-identical across refactors.
 
 Each capture runs ``optics-cp`` in process on seeded inputs and compares
-the sha256 of its stdout with ``tests/golden_cli.json``.  The hashes hold
-for the numpy version recorded there; on another numpy build the test
-skips, since GEMM and RNG bits may legitimately differ.  To record the
+the sha256 of its stdout, or of one file it writes with ``--output``,
+with ``tests/golden_cli.json``.  Simulate's ``.csv`` is hashed without
+its per-run ``seconds`` column, the one value that is not deterministic.
+The hashes hold for the numpy version recorded there; on another numpy
+build the test skips, since GEMM and RNG bits may legitimately differ.  To record the
 corpus again (only when a change is meant to move output bytes):
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -44,32 +46,62 @@ def _write_inputs(directory: Path) -> None:
         (directory / INPUTS[name]).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _captures() -> dict[str, list[str]]:
+def _analyze_argv(model: str, variant: str, detector: str, fmt: str) -> list[str]:
+    return ["analyze", "--input", INPUTS[model], "--model", model, "--variant", variant,
+            "--detector", detector, "--format", fmt,
+            "--B", "200", "--seed", "11", "--min-seg", "10"]
+
+
+def _simulate_argv(preset: str) -> list[str]:
+    return ["simulate", "--preset", preset, "--runs", "3", "--B", "100", "--seed", "5"]
+
+
+def _captures() -> dict[str, tuple[list[str], str | None]]:
+    """Each capture's argv and the file it hashes (None: stdout)."""
     out = {}
-    for model, path in INPUTS.items():
+    for model in INPUTS:
         for variant in VARIANTS:
             for detector in ("bs", "sn"):
                 for fmt in ("json", "csv"):
-                    out[f"analyze/{model}/{variant}/{detector}/{fmt}"] = [
-                        "analyze", "--input", path, "--model", model, "--variant", variant,
-                        "--detector", detector, "--format", fmt,
-                        "--B", "200", "--seed", "11", "--min-seg", "10",
-                    ]
+                    out[f"analyze/{model}/{variant}/{detector}/{fmt}"] = (
+                        _analyze_argv(model, variant, detector, fmt), None)
+        for variant in ("plain", "ms:2"):
+            for fmt in ("json", "csv"):
+                out[f"analyze-output/{model}/{variant}/sn/{fmt}"] = (
+                    _analyze_argv(model, variant, "sn", fmt) + ["--output", "out"], "out")
     for preset in PRESETS:
-        out[f"simulate/{preset}"] = ["simulate", "--preset", preset, "--runs", "3",
-                                     "--B", "100", "--seed", "5"]
+        out[f"simulate/{preset}"] = (_simulate_argv(preset), None)
+        for suffix in (".json", ".csv"):
+            out[f"simulate-output/{preset}{suffix}"] = (
+                _simulate_argv(preset) + ["--output", "out"], "out" + suffix)
     return out
 
 
 CAPTURES = _captures()
 
 
-def _stdout_sha(argv: list[str]) -> str:
+def _without_seconds(text: str) -> str:
+    """A simulate CSV without its ``seconds`` column; no cell holds a comma."""
+    rows = [ln.split(",") for ln in text.split("\n")]
+    col = rows[0].index("seconds")
+    return "\n".join(",".join(r[:col] + r[col + 1:]) for r in rows)
+
+
+def _sha(argv: list[str], path: str | None) -> str:
+    """sha256 of the capture's stdout, or of the file ``path`` it writes."""
+    if path is not None:  # a stale file from an earlier capture must not pass
+        Path(path).unlink(missing_ok=True)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     assert code == 0, f"{argv} exited {code}"
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    text = buf.getvalue()
+    if path is not None:
+        assert text == "", f"{argv} wrote to stdout"
+        text = Path(path).read_text(encoding="utf-8")
+        if argv[0] == "simulate" and path.endswith(".csv"):
+            text = _without_seconds(text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -96,13 +128,14 @@ def test_golden_corpus_covers_every_capture(golden):
 def test_golden_cli_output(name, golden, corpus_dir, monkeypatch):
     # inputs are passed by relative path, which analyze echoes in its output
     monkeypatch.chdir(corpus_dir)
-    assert _stdout_sha(CAPTURES[name]) == golden[name], f"stdout of {name} changed"
+    argv, path = CAPTURES[name]
+    assert _sha(argv, path) == golden[name], f"{path or 'stdout'} of {name} changed"
 
 
 def test_analyze_bytes_independent_of_openblas_threads(corpus_dir):
     # B = 4000 makes three chunks at this size, so two BLAS threads become two
     # bootstrap threads; OpenBLAS caps the count at the cores it finds
-    argv = CAPTURES["analyze/mean/plain/sn/json"][:]
+    argv = CAPTURES["analyze/mean/plain/sn/json"][0][:]
     argv[argv.index("--B") + 1] = "4000"
     src = str(Path(optics_cp.__file__).resolve().parents[1])
     outputs = set()
@@ -124,7 +157,7 @@ def _record() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            hashes = {name: _stdout_sha(argv) for name, argv in sorted(CAPTURES.items())}
+            hashes = {name: _sha(*capture) for name, capture in sorted(CAPTURES.items())}
         finally:
             os.chdir(cwd)
     doc = {"numpy": np.__version__, "sha256": hashes}
