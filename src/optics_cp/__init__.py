@@ -24,7 +24,6 @@ from .detectors import (
     DetectorKind,
     binary_segmentation,
     fit_all_candidates,
-    segment_cost,
     segment_neighborhood,
 )
 from .errors import (

@@ -13,8 +13,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .core import CandidateSet, TimeSeries
-from .detectors import BINARY_SEGMENTATION, SEGMENT_NEIGHBORHOOD, DetectorKind
-from .errors import ConfigError, DomainError, InfeasibleError, OpticsError, ParseError
+from .detectors import DetectorKind
+from .errors import ConfigError, DomainError, OpticsError, ParseError, ShapeError
 from .ext import HuberConfig, _run_variant
 from .inference import BootstrapConfig, copss_estimate
 from .scores import FAMILIES, MEAN, NETWORK, REGRESSION, ScoreModel
@@ -127,13 +127,6 @@ def _parse_variant(text: str) -> tuple[int, HuberConfig | None]:
     raise ConfigError(f"unknown variant {text!r}")
 
 
-def _detector(name: str, min_seg: int) -> DetectorKind:
-    kinds = {"bs": BINARY_SEGMENTATION, "sn": SEGMENT_NEIGHBORHOOD}
-    if name not in kinds:
-        raise ConfigError(f"unknown detector {name!r}; expected 'bs' or 'sn'")
-    return DetectorKind(kinds[name], min_seg=min_seg)
-
-
 def _resolve_seed(arg_seed) -> int:
     if arg_seed is not None:
         return int(arg_seed)
@@ -154,11 +147,16 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _original_positions(taus, L: int) -> tuple[list[int], list[int]]:
-    """Map split-1 half-sample boundaries back to original 1-based positions."""
-    odd = [L * (2 * t - 2) + 1 for t in taus]
-    even = [L * (2 * t - 1) + 1 for t in taus]
-    return odd, even
+def _csv_text(records: list[dict]) -> str:
+    """CSV of records sharing their keys, which make the header: list cells
+    are joined by ';', flags written as 0/1 and other values by ``str``."""
+    def cell(val) -> str:
+        if isinstance(val, list):
+            return ";".join(map(str, val))
+        return str(int(val) if isinstance(val, bool) else val)
+
+    lines = [",".join(records[0])] + [",".join(map(cell, r.values())) for r in records]
+    return "\n".join(lines) + "\n"
 
 
 def _run_analyze(args) -> int:
@@ -170,7 +168,7 @@ def _run_analyze(args) -> int:
     covariates = None
     if args.model == REGRESSION:
         if data.shape[1] < 2:
-            raise InfeasibleError("regression input needs a response plus covariate columns")
+            raise ShapeError("regression input needs a response plus covariate columns")
         ts = TimeSeries(data[:, :1])
         covariates = data[:, 1:]
     else:
@@ -183,7 +181,7 @@ def _run_analyze(args) -> int:
 
     seed = _resolve_seed(args.seed)
     L, huber = _parse_variant(args.variant)
-    kind = _detector(args.detector, args.min_seg)
+    kind = DetectorKind(args.detector, args.min_seg)
     k_max = args.kmax if args.kmax is not None else default_k_max(n_rows)
     cfg = BootstrapConfig(b_reps=args.B, seed=seed)
     cs, table = _run_variant(ts, model, kind, CandidateSet(k_max), args.alpha, cfg,
@@ -205,16 +203,16 @@ def _run_analyze(args) -> int:
     candidates = []
     for i, k in enumerate(table.candidates):
         taus = list(table.segmentations[i].taus)
-        orig_odd, orig_even = _original_positions(taus, L)
         candidates.append({
             "k": k,
             "p_hat": float(table.p_hat[i]),
             "t_stat": float(table.t_stat[i]),
             "criterion": float(table.criterion[i]),
-            "taus": taus,
-            "taus_original_odd": orig_odd,
-            "taus_original_even": orig_even,
             "in_set": k in cs.members,
+            "taus": taus,
+            # the half-sample boundaries of split 1 at original 1-based positions
+            "taus_original_odd": [L * (2 * t - 2) + 1 for t in taus],
+            "taus_original_even": [L * (2 * t - 1) + 1 for t in taus],
         })
     doc = {
         "schema": SCHEMA,
@@ -233,22 +231,10 @@ def _run_analyze(args) -> int:
         "diagnostics": diagnostics(table),
     }
 
-    if args.format == "json":
-        _write_text(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if args.format == "csv":
+        _write_text(args.output, _csv_text(candidates))
     else:
-        lines = ["k,p_hat,t_stat,criterion,in_set,taus,taus_original_odd,taus_original_even"]
-        for c in candidates:
-            lines.append(",".join([
-                str(c["k"]),
-                repr(c["p_hat"]),
-                repr(c["t_stat"]),
-                repr(c["criterion"]),
-                str(int(c["in_set"])),
-                ";".join(map(str, c["taus"])),
-                ";".join(map(str, c["taus_original_odd"])),
-                ";".join(map(str, c["taus_original_even"])),
-            ]))
-        _write_text(args.output, "\n".join(lines) + "\n")
+        _write_text(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -319,7 +305,7 @@ def _simulate_config(args) -> dict:
         return {**_default_simulate_config(), **_check_spec(args.spec, loaded)}
 
     if args.preset not in PRESETS:
-        raise InfeasibleError(
+        raise ConfigError(
             f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
     preset = PRESETS[args.preset]
@@ -327,7 +313,7 @@ def _simulate_config(args) -> dict:
     config.update(
         preset=args.preset,
         method=preset["method"],
-        min_seg=preset.get("min_seg", 5),
+        min_seg=preset["min_seg"],
         generator=asdict(preset["spec"]),
     )
     return config
@@ -355,7 +341,7 @@ def _run_simulate(args) -> int:
     if config["ms_l"] < 1:
         raise ConfigError(f"--ms-l must be >= 1, got {config['ms_l']}")
     spec = GeneratorSpec(**config["generator"])
-    detector = _detector(config["detector"], config["min_seg"])
+    detector = DetectorKind(config["detector"], config["min_seg"])
     report = run_experiment(
         spec,
         method=config["method"],
@@ -366,7 +352,7 @@ def _run_simulate(args) -> int:
         seed=config["seed"],
         k_max=config["k_max"],
         ms_l=config["ms_l"],
-        huber=HuberConfig(kappa=config.get("huber_kappa", 1.5)),
+        huber=HuberConfig(kappa=config["huber_kappa"]),
         threads=args.threads,
     )
     config["k_max"] = report.k_max
@@ -374,19 +360,11 @@ def _run_simulate(args) -> int:
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
     if args.output == "-":
-        sys.stdout.write(text)
-        return EXIT_OK
-
-    header = "run,method,detector,A,covered,cardinality,copss_hit,seconds"
-    rows = [header] + [
-        ",".join(str(r[c]) for c in header.split(","))
-        for r in report.csv_rows()
-    ]
-    with open(args.output + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(args.output + ".json", "w", encoding="utf-8") as fh:
-        fh.write(text)
-    logger.info("wrote %s.csv and %s.json", args.output, args.output)
+        _write_text("-", text)
+    else:
+        _write_text(args.output + ".csv", _csv_text(report.csv_rows()))
+        _write_text(args.output + ".json", text)
+        logger.info("wrote %s.csv and %s.json", args.output, args.output)
     return EXIT_OK
 
 
@@ -442,7 +420,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _run_analyze(args)
         if args.spec is None and args.preset is None:
-            raise InfeasibleError("simulate needs --preset or --spec")
+            raise ConfigError("simulate needs --preset or --spec")
         return _run_simulate(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,13 +92,6 @@ def _costs(cache: CostCache, a, b) -> np.ndarray:
     return np.maximum(sq - np.sum(diff * diff, axis=-1) / (b - a), 0.0)
 
 
-def segment_cost(cache: CostCache, a: int, b: int) -> float:
-    """SSE of the block (a, b] around its own mean; nonnegative."""
-    if not 0 <= a < b <= cache.n:
-        raise IndexError(f"invalid block ({a}, {b}] for n={cache.n}")
-    return float(_costs(cache, a, b))
-
-
 def _bs_best_split(cache: CostCache, a: int, b: int, min_seg: int):
     """Best admissible split of (a, b], or None if the block is too short.
 

@@ -190,27 +190,31 @@ def generate(spec: GeneratorSpec, seed: int) -> tuple[TimeSeries, np.ndarray | N
     """Draw one dataset; deterministic in (spec, seed).
 
     Returns the series and, for the regression design, the covariate
-    matrix (None otherwise).
+    matrix (None otherwise).  A series too large for memory raises
+    SpecError.
     """
     rng = np.random.default_rng(seed & _SEED_MASK)
-    labels = _segment_labels(spec.n_total, spec.taus_star)
     signs = (-1.0) ** np.arange(spec.k_star + 1)
+    try:
+        labels = _segment_labels(spec.n_total, spec.taus_star)
+        if spec.design == MEAN_CHANGE:
+            mu = spec.amplitude * signs[labels][:, None] * np.ones(spec.d)
+            return TimeSeries(mu + _mean_errors(rng, spec)), None
 
-    if spec.design == MEAN_CHANGE:
-        mu = spec.amplitude * signs[labels][:, None] * np.ones(spec.d)
-        return TimeSeries(mu + _mean_errors(rng, spec)), None
+        if spec.design == REGRESSION_BREAK:
+            x = rng.standard_normal((spec.n_total, spec.d))
+            eps = _draw_noise(rng, spec, spec.n_total)
+            beta = spec.amplitude * signs[labels][:, None]
+            y = np.sum(x * beta, axis=1) + eps
+            return TimeSeries(y), x
 
-    if spec.design == REGRESSION_BREAK:
-        x = rng.standard_normal((spec.n_total, spec.d))
+        # variance: scale alternates 1, A, 1, A, ... across segments
+        scale = spec.amplitude ** (np.arange(spec.k_star + 1) % 2)
         eps = _draw_noise(rng, spec, spec.n_total)
-        beta = spec.amplitude * signs[labels][:, None]
-        y = np.sum(x * beta, axis=1) + eps
-        return TimeSeries(y), x
-
-    # variance: scale alternates 1, A, 1, A, ... across segments
-    scale = spec.amplitude ** (np.arange(spec.k_star + 1) % 2)
-    eps = _draw_noise(rng, spec, spec.n_total)
-    return TimeSeries(scale[labels] * eps), None
+        return TimeSeries(scale[labels] * eps), None
+    except MemoryError:
+        raise SpecError(f"n_total={spec.n_total}, d={spec.d} and m_dep={spec.m_dep} "
+                        "ask for a series larger than memory") from None
 
 
 def default_k_max(n_total: int) -> int:

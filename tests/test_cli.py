@@ -270,8 +270,25 @@ def test_analyze_regression_covers_truth_across_seeds(tmp_path):
     assert hits >= 8
 
 
-def test_simulate_unknown_preset_exit_3():
+def test_simulate_unknown_preset_exit_3(capsys):
     assert main(["simulate", "--preset", "tab99", "--output", "-"]) == 3
+    assert capsys.readouterr().err.startswith("error: unknown preset 'tab99'; available: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--runs", "1"], "simulate needs --preset or --spec"),
+    (["simulate", "--preset", "tab1", "--detector", "xx"],
+     "unknown detector 'xx'; expected 'bs' or 'sn'"),
+    (["analyze", "--detector", "xx"], "unknown detector 'xx'; expected 'bs' or 'sn'"),
+    (["analyze", "--model", "regression"],
+     "regression input needs a response plus covariate columns"),
+])
+def test_cli_mistake_is_named_error_exit_3(tmp_path, capsys, argv, message):
+    if argv[0] == "analyze":  # one column: a response without covariates
+        argv = argv + ["--input", str(write_mean_csv(tmp_path / "data.csv", n_obs=100))]
+    assert main(argv + ["--output", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_simulate_single_run_csv(tmp_path):
@@ -367,6 +384,19 @@ def test_simulate_spec_with_bad_noise_or_amplitude_exit_3(tmp_path, capsys, fiel
     assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 3
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_spec_larger_than_memory_exit_3(fresh_pool, tmp_path, capsys, threads):
+    # 10^15 points are 7 PiB of labels, beyond what a 48-bit address space maps,
+    # so the draw fails without allocating anything
+    spec_file = tmp_path / "huge.json"
+    spec_file.write_text(json.dumps({"generator": {"n_total": 10**15, "taus_star": [50]},
+                                     "runs": 2, "b_reps": 10}))
+    assert main(["simulate", "--spec", str(spec_file), "--threads", threads,
+                 "--output", "-"]) == 3
+    err = capsys.readouterr().err
+    assert "n_total=1000000000000000, d=1 and m_dep=0" in err and "Traceback" not in err
 
 
 def test_simulate_stdout(capsys):

@@ -10,9 +10,9 @@ from optics_cp import (
     InfeasibleError,
     binary_segmentation,
     fit_all_candidates,
-    segment_cost,
     segment_neighborhood,
 )
+from optics_cp.detectors import _costs
 
 
 def direct_sse(arr, a, b):
@@ -42,12 +42,12 @@ def brute_force_min(arr, k, min_seg):
 
 def test_segment_cost_constant_block():
     cache = CostCache.from_scores(np.zeros(3))
-    assert segment_cost(cache, 0, 3) == 0.0
+    assert _costs(cache, 0, 3) == 0.0
 
 
 def test_segment_cost_two_points():
     cache = CostCache.from_scores(np.array([0.0, 2.0]))
-    assert segment_cost(cache, 0, 2) == pytest.approx(2.0, abs=1e-12)
+    assert _costs(cache, 0, 2) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_segment_cost_matches_direct_sum():
@@ -56,16 +56,9 @@ def test_segment_cost_matches_direct_sum():
     cache = CostCache.from_scores(arr)
     for a in range(10):
         for b in range(a + 1, 11):
-            assert segment_cost(cache, a, b) == pytest.approx(
+            assert _costs(cache, a, b) == pytest.approx(
                 direct_sse(arr, a, b), rel=1e-9, abs=1e-12
             )
-
-
-def test_segment_cost_bounds_checked():
-    cache = CostCache.from_scores(np.zeros(5))
-    for a, b in [(-1, 3), (3, 3), (4, 2), (0, 6)]:
-        with pytest.raises(IndexError):
-            segment_cost(cache, a, b)
 
 
 def test_bs_single_obvious_break():
