@@ -15,7 +15,6 @@ from .core import (
     TimeSeries,
     odd_even_split,
     order_preserving_l_split,
-    segment_means,
 )
 from .detectors import (
     BINARY_SEGMENTATION,
@@ -36,14 +35,7 @@ from .errors import (
     ShapeError,
     SpecError,
 )
-from .ext import (
-    HuberConfig,
-    cauchy_combine,
-    h_optics,
-    huber_loss,
-    m_optics,
-    ms_optics,
-)
+from .ext import HuberConfig, cauchy_combine, h_optics, huber_loss, optics
 from .inference import (
     BootstrapConfig,
     ConfidenceSet,
@@ -53,7 +45,6 @@ from .inference import (
     confidence_set,
     copss_estimate,
     criterion,
-    optics,
     run_on_scores,
     test_statistic,
     xi_matrix,

@@ -15,7 +15,7 @@ import numpy as np
 from .core import CandidateSet, TimeSeries
 from .detectors import DetectorKind
 from .errors import ConfigError, DomainError, OpticsError, ParseError, ShapeError
-from .ext import HuberConfig, _run_variant
+from .ext import HuberConfig, optics
 from .inference import BootstrapConfig, copss_estimate
 from .scores import FAMILIES, MEAN, NETWORK, REGRESSION, ScoreModel
 from .sim import PRESETS, GeneratorSpec, default_k_max, diagnostics, run_experiment
@@ -139,12 +139,22 @@ def _resolve_seed(arg_seed) -> int:
     return 0
 
 
+def _check_output(path: str) -> None:
+    """Fail before any work when the directory of an output path is missing."""
+    folder = os.path.dirname(path) or "."
+    if path != "-" and not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path}: no directory {folder}")
+
+
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _csv_text(records: list[dict]) -> str:
@@ -184,8 +194,8 @@ def _run_analyze(args) -> int:
     kind = DetectorKind(args.detector, args.min_seg)
     k_max = args.kmax if args.kmax is not None else default_k_max(n_rows)
     cfg = BootstrapConfig(b_reps=args.B, seed=seed)
-    cs, table = _run_variant(ts, model, kind, CandidateSet(k_max), args.alpha, cfg,
-                             L=L, huber=huber, covariates=covariates)
+    cs, table = optics(ts, model, kind, CandidateSet(k_max), args.alpha, cfg,
+                       covariates=covariates, L=L, huber=huber)
 
     config_echo = {
         "command": "analyze",
@@ -417,6 +427,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        _check_output(args.output)
         if args.command == "analyze":
             return _run_analyze(args)
         if args.spec is None and args.preset is None:

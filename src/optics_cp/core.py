@@ -190,14 +190,3 @@ def segment_mean_map(arr: np.ndarray, boundaries) -> np.ndarray:
         out[left:right] = arr[left:right].mean(axis=0)
     return out
 
-
-def segment_means(scores, seg: Segmentation) -> np.ndarray:
-    """Map each index to the mean of its segment under ``seg``.
-
-    ``scores`` may be a ScoreSeries or a raw (n, d) array.  The result
-    has the same shape as the input data.
-    """
-    arr = data_matrix(scores)
-    if arr.shape[0] != seg.n:
-        raise ShapeError(f"segmentation is for n={seg.n}, scores have n={arr.shape[0]}")
-    return segment_mean_map(arr, seg.boundaries())

@@ -1,15 +1,15 @@
-"""Extensions of the base procedure: multiple splitting, Huber robustness,
-and m-dependent data.
+"""The one pipeline entry, ``optics``, and the variants it takes as data.
 
-All three are one construction, run by a single function: the base
-pipeline on L order-preserving subsamples, with an optional change of
-the per-point fit measure, and the per-candidate p-values fused by
-equal-weight Cauchy combination, which stays valid under arbitrary
-dependence between the splits.  Multiple splitting picks L; the m-dependent
-variant is L = m + 1, so that observations within each subsample are at
-least m + 1 apart and hence independent; the Huber variant keeps L = 1
-and swaps the squared-norm fit for a coordinatewise Huber loss.  The
-public entry points are thin wrappers around that function.
+The base procedure, multiple splitting, Huber robustness and m-dependent
+data are one construction: the pipeline of ``inference.run_on_scores``
+on L order-preserving subsamples, with a choice of per-point fit
+measure, and the per-candidate p-values fused by equal-weight Cauchy
+combination, which stays valid under arbitrary dependence between the
+splits.  L = 1 with the squared-norm fit is the base procedure;
+multiple splitting picks L; the m-dependent variant is L = m + 1, so
+that observations within each subsample are at least m + 1 apart and
+hence independent; the Huber variant keeps L = 1 and swaps the
+squared-norm fit for a coordinatewise Huber loss.
 """
 
 from __future__ import annotations
@@ -97,26 +97,33 @@ def _adaptive_kappa(even: np.ndarray, fallback: float) -> float:
     return 1.345 * mad / 0.6745
 
 
-def _run_variant(
+def optics(
     ts: TimeSeries,
     model: ScoreModel,
     kind: DetectorKind,
     m: CandidateSet,
-    alpha: float,
-    cfg: BootstrapConfig,
+    alpha: float = 0.1,
+    cfg: BootstrapConfig | None = None,
+    covariates: np.ndarray | None = None,
+    *,
     L: int = 1,
     huber: HuberConfig | None = None,
-    covariates: np.ndarray | None = None,
 ) -> tuple[ConfidenceSet, PValueTable]:
-    """The one pipeline behind every variant.
+    """Confidence set for the number of change-points in ``ts``.
 
-    L = 1 transforms the series and runs the split-fit-bootstrap pipeline
-    with the squared-norm fit, or with the Huber fit when ``huber`` is
-    given (an adaptive threshold is set from the parity split's even
-    half).  L > 1 runs that on each order-preserving subsample r, with
-    its covariate rows and seed XOR r, and fuses the per-candidate
-    p-values by equal-weight Cauchy combination.
+    L = 1 transforms the series to scores, splits them by parity, fits
+    every candidate count on the odd half and keeps the candidates whose
+    bootstrap p-value exceeds alpha.  The per-point fit is the squared
+    norm, or the Huber loss when ``huber`` is given (an adaptive
+    threshold is set from the parity split's even half).  L > 1 runs
+    that on each order-preserving subsample r, with its covariate rows
+    and seed XOR r, and fuses the per-candidate p-values by equal-weight
+    Cauchy combination.  Multiple splitting picks L; m-dependent data
+    take L = m + 1.  Deterministic given the seed in ``cfg``
+    (``BootstrapConfig()`` when None).
     """
+    if cfg is None:
+        cfg = BootstrapConfig()
     if L == 1:
         scores = transform(ts, model, covariates)
         row_fit = _sq_rows
@@ -130,8 +137,8 @@ def _run_variant(
     subs = order_preserving_l_split(ts, L)
     cov_subs = split_like(np.asarray(covariates), L) if covariates is not None else [None] * L
     tables = [
-        _run_variant(sub, model, kind, m, alpha, replace(cfg, seed=cfg.seed ^ r),
-                     huber=huber, covariates=cov_subs[r])[1]
+        optics(sub, model, kind, m, alpha, replace(cfg, seed=cfg.seed ^ r), cov_subs[r],
+               huber=huber)[1]
         for r, sub in enumerate(subs)
     ]
     # clip to keep tan finite at the discrete bootstrap endpoints 0 and 1
@@ -161,53 +168,11 @@ def h_optics(
     h: HuberConfig | None = None,
     covariates: np.ndarray | None = None,
 ) -> tuple[ConfidenceSet, PValueTable]:
-    """Huber-robust variant: per-point fits use the coordinatewise Huber
-    loss of the residuals instead of their squared norm.
+    """``optics`` with the Huber fit, ``HuberConfig()`` by default; kept
+    because the benchmark in ``perfbench/`` calls it.
 
     With kappa above every residual magnitude the loss is half the
     squared norm, the factor cancels in studentization, and the result
     matches the plain pipeline exactly.
     """
-    return _run_variant(ts, model, kind, m, alpha, cfg or BootstrapConfig(),
-                        huber=h or HuberConfig(), covariates=covariates)
-
-
-def ms_optics(
-    ts: TimeSeries,
-    model: ScoreModel,
-    kind: DetectorKind,
-    m: CandidateSet,
-    alpha: float = 0.1,
-    cfg: BootstrapConfig | None = None,
-    L: int = 2,
-    covariates: np.ndarray | None = None,
-) -> tuple[ConfidenceSet, PValueTable]:
-    """Multiple-splitting variant.
-
-    The series is divided into L order-preserving subsamples, the base
-    pipeline runs on each with its own parity split (subsample r derives
-    its seed as seed XOR r), and the per-candidate p-values are fused by
-    equal-weight Cauchy combination before thresholding.  L = 1 is the
-    base procedure itself.
-    """
-    return _run_variant(ts, model, kind, m, alpha, cfg or BootstrapConfig(),
-                        L=L, covariates=covariates)
-
-
-def m_optics(
-    ts: TimeSeries,
-    model: ScoreModel,
-    kind: DetectorKind,
-    m_set: CandidateSet,
-    alpha: float = 0.1,
-    cfg: BootstrapConfig | None = None,
-    m_dep: int = 0,
-    covariates: np.ndarray | None = None,
-) -> tuple[ConfidenceSet, PValueTable]:
-    """Variant for m-dependent data: order-preserving (m+1)-way splitting
-    with uniform Cauchy combination.  m_dep = 0 reduces to the base
-    procedure."""
-    if m_dep < 0:
-        raise ConfigError(f"m_dep must be >= 0, got {m_dep}")
-    return _run_variant(ts, model, kind, m_set, alpha, cfg or BootstrapConfig(),
-                        L=m_dep + 1, covariates=covariates)
+    return optics(ts, model, kind, m, alpha, cfg, covariates, huber=h or HuberConfig())

@@ -1,8 +1,10 @@
-"""Confidence sets for the number of change-points.
+"""Confidence sets for the number of change-points, from a score sequence.
 
-The procedure: split the score sequence by index parity, fit one
-segmentation per candidate count on the odd half, and judge each
-candidate K by the out-of-sample criterion
+``run_on_scores`` runs the procedure on scores already transformed;
+``ext.optics``, the entry point, transforms a series and calls it once
+per split.  The procedure: split the score sequence by index parity,
+fit one segmentation per candidate count on the odd half, and judge
+each candidate K by the out-of-sample criterion
 
     C(K) = mean_i || s_i_even - sbar_K,i_odd ||^2,
 
@@ -45,17 +47,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import blas
-from .core import (
-    CandidateSet,
-    Segmentation,
-    TimeSeries,
-    data_matrix,
-    parity_split,
-    segment_mean_map,
-)
+from .core import CandidateSet, Segmentation, data_matrix, parity_split, segment_mean_map
 from .detectors import DetectorKind, fit_all_candidates
 from .errors import ConfigError, DomainError, LengthError, ShapeError
-from .scores import ScoreModel, ScoreSeries, transform
+from .scores import ScoreSeries
 
 # Resolution of the studentized ratios; 2^-13 keeps the statistic within
 # ~1e-4 of its unsnapped value while making it exactly scale-invariant.
@@ -404,28 +399,6 @@ def run_on_scores(
         n=n,
     )
     return confidence_set(table, alpha), table
-
-
-def optics(
-    ts: TimeSeries,
-    model: ScoreModel,
-    kind: DetectorKind,
-    m: CandidateSet,
-    alpha: float = 0.1,
-    cfg: BootstrapConfig | None = None,
-    covariates: np.ndarray | None = None,
-) -> tuple[ConfidenceSet, PValueTable]:
-    """Confidence set for the number of change-points in ``ts``.
-
-    Transforms the series to scores, splits by parity, fits every
-    candidate count on the odd half, and keeps the candidates whose
-    bootstrap p-value exceeds alpha.  Deterministic given the seed in
-    ``cfg``.
-    """
-    if cfg is None:
-        cfg = BootstrapConfig()
-    scores = transform(ts, model, covariates)
-    return run_on_scores(scores, kind, m, alpha, cfg)
 
 
 def copss_estimate(table: PValueTable) -> int:

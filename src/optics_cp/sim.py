@@ -33,7 +33,7 @@ from . import blas
 from .core import CandidateSet, TimeSeries
 from .detectors import SEGMENT_NEIGHBORHOOD, DetectorKind
 from .errors import OpticsError, SpecError
-from .ext import HuberConfig, _run_variant
+from .ext import HuberConfig, optics
 from .inference import _SEED_MASK, BootstrapConfig, PValueTable, copss_estimate
 from .scores import ScoreModel
 
@@ -332,8 +332,8 @@ class _Runs:
         cfg = BootstrapConfig(b_reps=self.b_reps, seed=run_seed)
         t0 = time.perf_counter()
         # design names coincide with the score families they use
-        cs, table = _run_variant(ts, ScoreModel(self.spec.design), self.detector, self.m,
-                                 self.alpha, cfg, L=self.L, huber=self.huber, covariates=cov)
+        cs, table = optics(ts, ScoreModel(self.spec.design), self.detector, self.m, self.alpha,
+                           cfg, covariates=cov, L=self.L, huber=self.huber)
         elapsed = time.perf_counter() - t0
         point = copss_estimate(table)
         return RunRecord(

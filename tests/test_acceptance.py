@@ -24,8 +24,6 @@ from optics_cp import (
     confidence_set,
     h_optics,
     huber_loss,
-    m_optics,
-    ms_optics,
     optics,
     run_experiment,
     segment_neighborhood,
@@ -178,13 +176,13 @@ def test_criterion_04_reduction_identities():
         cfg = BootstrapConfig(b_reps=120, seed=trial)
         cs0, t0 = optics(ts, ScoreModel("mean"), kind, m, 0.1, cfg)
 
-        cs_ms, t_ms = ms_optics(ts, ScoreModel("mean"), kind, m, 0.1, cfg, L=1)
+        cs_ms, t_ms = optics(ts, ScoreModel("mean"), kind, m, 0.1, cfg, L=1)
         assert cs_ms.members == cs0.members
         assert np.array_equal(t_ms.p_hat, t0.p_hat)
         assert np.array_equal(t_ms.t_stat, t0.t_stat)
         assert np.array_equal(t_ms.criterion, t0.criterion)
 
-        cs_m, t_m = m_optics(ts, ScoreModel("mean"), kind, m, 0.1, cfg, m_dep=0)
+        cs_m, t_m = optics(ts, ScoreModel("mean"), kind, m, 0.1, cfg, L=0 + 1)
         assert cs_m.members == cs0.members
         assert np.array_equal(t_m.p_hat, t0.p_hat)
 

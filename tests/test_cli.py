@@ -291,6 +291,42 @@ def test_cli_mistake_is_named_error_exit_3(tmp_path, capsys, argv, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+def test_analyze_output_into_missing_directory_exit_3(tmp_path, capsys):
+    # checked before the input is read: the missing input alone would exit 2
+    out = tmp_path / "missing" / "x.json"
+    assert main(["analyze", "--input", str(tmp_path / "none.csv"), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {out}: no directory {out.parent}\n"
+
+
+def test_simulate_output_into_missing_directory_runs_nothing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started before the output path was checked")
+
+    monkeypatch.setattr(sim, "optics", never)
+    prefix = tmp_path / "missing" / "out"
+    assert main(["simulate", "--preset", "tab1", "--runs", "1", "--B", "10",
+                 "--output", str(prefix)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {prefix}: no directory {prefix.parent}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_unwritable_output_is_config_error_exit_3(tmp_path, capsys, command):
+    # the directory exists, but the file cannot be opened: it is a directory
+    if command == "analyze":
+        argv = ["analyze", "--input", str(write_mean_csv(tmp_path / "data.csv", n_obs=100)),
+                "--B", "10", "--output", str(tmp_path)]
+        target = tmp_path
+    else:
+        argv = ["simulate", "--preset", "tab1", "--runs", "1", "--B", "10",
+                "--output", str(tmp_path / "out")]
+        target = tmp_path / "out.csv"
+        target.mkdir()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+
+
 def test_simulate_single_run_csv(tmp_path):
     prefix = tmp_path / "sim"
     assert main(["simulate", "--preset", "tab1", "--runs", "1", "--B", "100",
@@ -477,21 +513,21 @@ def test_simulate_sigint_exit_130(tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_simulate_worker_error_exit_code(fresh_pool, monkeypatch, capsys, threads):
-    real = sim._run_variant
+    real = sim.optics
 
     def failing(ts, model, kind, m, alpha, cfg, **kwargs):
         if cfg.seed % 2:  # the odd runs, all of them in a worker at --threads 2
             raise DomainError(f"run seed {cfg.seed} rejected")
         return real(ts, model, kind, m, alpha, cfg, **kwargs)
 
-    monkeypatch.setattr(sim, "_run_variant", failing)
+    monkeypatch.setattr(sim, "optics", failing)
     assert main(["simulate", "--preset", "tab1", "--runs", "4", "--B", "50",
                  "--threads", threads, "--output", "-"]) == 4
     assert capsys.readouterr().err == "error: run seed 1 rejected\n"
 
 
 def test_simulate_dead_worker_exit_3(fresh_pool, monkeypatch, capsys):
-    real = sim._run_variant
+    real = sim.optics
     caller = os.getpid()
 
     def dying(*args, **kwargs):
@@ -499,7 +535,7 @@ def test_simulate_dead_worker_exit_3(fresh_pool, monkeypatch, capsys):
             os._exit(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "_run_variant", dying)
+    monkeypatch.setattr(sim, "optics", dying)
     assert main(["simulate", "--preset", "tab1", "--runs", "2", "--B", "50",
                  "--threads", "2", "--output", "-"]) == 3
     err = capsys.readouterr().err

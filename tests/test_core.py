@@ -9,8 +9,8 @@ from optics_cp import (
     TimeSeries,
     odd_even_split,
     order_preserving_l_split,
-    segment_means,
 )
+from optics_cp.core import segment_mean_map
 
 
 def test_parity_split_six_points():
@@ -84,30 +84,30 @@ def test_l_split_starved():
 
 
 def test_segment_means_basic():
-    scores = np.array([1.0, 2.0, 3.0, 4.0])
+    scores = np.array([[1.0], [2.0], [3.0], [4.0]])
     seg = Segmentation(taus=(2,), n=4, min_seg=2)
-    out = segment_means(scores, seg)
+    out = segment_mean_map(scores, seg.boundaries())
     assert out[:, 0].tolist() == [1.5, 1.5, 3.5, 3.5]
 
 
 def test_segment_means_global_when_no_changes():
-    scores = np.array([1.0, 2.0, 3.0, 4.0])
+    scores = np.array([[1.0], [2.0], [3.0], [4.0]])
     seg = Segmentation(taus=(), n=4, min_seg=2)
-    assert np.allclose(segment_means(scores, seg), 2.5)
+    assert np.allclose(segment_mean_map(scores, seg.boundaries()), 2.5)
 
 
 def test_segment_means_singleton_segments():
     scores = np.array([[0.0, 0.0], [2.0, 2.0]])
     seg = Segmentation(taus=(1,), n=2, min_seg=1)
-    assert np.array_equal(segment_means(scores, seg), scores)
+    assert np.array_equal(segment_mean_map(scores, seg.boundaries()), scores)
 
 
 def test_segment_means_idempotent():
     rng = np.random.default_rng(2)
     scores = rng.standard_normal((24, 2))
     seg = Segmentation(taus=(6, 15), n=24, min_seg=3)
-    once = segment_means(scores, seg)
-    twice = segment_means(once, seg)
+    once = segment_mean_map(scores, seg.boundaries())
+    twice = segment_mean_map(once, seg.boundaries())
     assert np.allclose(once, twice, atol=1e-12)
 
 
@@ -115,15 +115,9 @@ def test_segment_residuals_sum_to_zero_within_segments():
     rng = np.random.default_rng(3)
     scores = rng.standard_normal((30, 3))
     seg = Segmentation(taus=(10, 21), n=30, min_seg=4)
-    resid = scores - segment_means(scores, seg)
+    resid = scores - segment_mean_map(scores, seg.boundaries())
     for a, b in zip(seg.boundaries(), seg.boundaries()[1:]):
         assert np.all(np.abs(resid[a:b].sum(axis=0)) < 1e-10)
-
-
-def test_segment_means_length_mismatch():
-    seg = Segmentation(taus=(2,), n=4, min_seg=2)
-    with pytest.raises(ShapeError):
-        segment_means(np.zeros(5), seg)
 
 
 def test_segmentation_rejects_short_gaps():

@@ -11,8 +11,6 @@ from optics_cp import (
     cauchy_combine,
     h_optics,
     huber_loss,
-    m_optics,
-    ms_optics,
     optics,
 )
 
@@ -103,7 +101,7 @@ def test_ms_single_split_reproduces_base():
     for seed in range(4):
         ts = _random_input(seed)
         cs1, t1 = optics(ts, *_args(seed))
-        cs2, t2 = ms_optics(ts, *_args(seed), L=1)
+        cs2, t2 = optics(ts, *_args(seed), L=1)
         assert cs1.members == cs2.members
         assert np.array_equal(t1.p_hat, t2.p_hat)
         assert np.array_equal(t1.t_stat, t2.t_stat)
@@ -114,20 +112,15 @@ def test_mdep_zero_reproduces_base():
     for seed in range(4):
         ts = _random_input(seed)
         cs1, t1 = optics(ts, *_args(seed))
-        cs2, t2 = m_optics(ts, *_args(seed), m_dep=0)
+        cs2, t2 = optics(ts, *_args(seed), L=0 + 1)
         assert cs1.members == cs2.members
         assert np.array_equal(t1.p_hat, t2.p_hat)
-    # m-dependence is exactly (m+1)-way multiple splitting
+    # m-dependence is (m+1)-way splitting: one split table per stride, none
+    # at m = 0; the CLI's mdep:m against ms:(m+1) is tested in test_golden_cli
     ts = _random_input(5, n_obs=360)
     for m_dep in (0, 1, 2):
-        cs1, t1 = m_optics(ts, *_args(5), m_dep=m_dep)
-        cs2, t2 = ms_optics(ts, *_args(5), L=m_dep + 1)
-        assert cs1.members == cs2.members
-        for field in ("p_hat", "t_stat", "criterion"):
-            assert np.array_equal(getattr(t1, field), getattr(t2, field))
-        assert len(t1.splits) == len(t2.splits) == (m_dep + 1 if m_dep else 0)
-        for s1, s2 in zip(t1.splits, t2.splits):
-            assert np.array_equal(s1.p_hat, s2.p_hat)
+        _, table = optics(ts, *_args(5), L=m_dep + 1)
+        assert len(table.splits) == (m_dep + 1 if m_dep else 0)
 
 
 def test_huber_large_threshold_reproduces_base():
@@ -156,8 +149,8 @@ def test_huber_tiny_threshold_finite():
 
 def test_ms_split_seeds_differ_but_combination_is_deterministic():
     ts = _random_input(10, n_obs=240)
-    cs1, t1 = ms_optics(ts, *_args(10), L=2)
-    cs2, t2 = ms_optics(ts, *_args(10), L=2)
+    cs1, t1 = optics(ts, *_args(10), L=2)
+    cs2, t2 = optics(ts, *_args(10), L=2)
     assert cs1.members == cs2.members
     assert np.array_equal(t1.p_hat, t2.p_hat)
     assert len(t1.splits) == 2
@@ -179,8 +172,8 @@ def test_ms_regression_splits_match_hand_made_subsamples():
     y = (x * beta).sum(axis=1) + rng.standard_normal(240)
     seed = 21
     args = (ScoreModel("regression"), DetectorKind("sn", min_seg=5), CandidateSet(3), 0.1)
-    _, table = ms_optics(TimeSeries(y), *args, BootstrapConfig(b_reps=100, seed=seed),
-                         L=2, covariates=x)
+    _, table = optics(TimeSeries(y), *args, BootstrapConfig(b_reps=100, seed=seed),
+                      L=2, covariates=x)
     assert len(table.splits) == 2
     for r, split in enumerate(table.splits):
         _, want = optics(TimeSeries(y[r::2]), *args, BootstrapConfig(b_reps=100, seed=seed ^ r),
@@ -192,7 +185,7 @@ def test_ms_regression_splits_match_hand_made_subsamples():
 
 def test_mdep_splits_series_into_independent_strides():
     ts = _random_input(11, n_obs=360)
-    cs, table = m_optics(ts, *_args(11), m_dep=2)
+    cs, table = optics(ts, *_args(11), L=2 + 1)
     assert len(table.splits) == 3
     assert len(cs.members) >= 1
 
@@ -216,9 +209,9 @@ def test_high_order_split_still_runs():
     rng = np.random.default_rng(13)
     mu = np.repeat([0.75, -0.75, 0.75, -0.75, 0.75], 200)
     ts = TimeSeries(mu + rng.standard_normal(1000))
-    cs, table = m_optics(
+    cs, table = optics(
         ts, ScoreModel("mean"), DetectorKind("sn", min_seg=5), CandidateSet(6),
-        0.1, BootstrapConfig(b_reps=100, seed=13), m_dep=8,
+        0.1, BootstrapConfig(b_reps=100, seed=13), L=8 + 1,
     )
     assert len(table.splits) == 9
     assert len(cs.members) >= 1

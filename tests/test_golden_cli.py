@@ -132,6 +132,24 @@ def test_golden_cli_output(name, golden, corpus_dir, monkeypatch):
     assert _sha(argv, path) == golden[name], f"{path or 'stdout'} of {name} changed"
 
 
+def _analysis(variant: str):
+    """Candidates, confidence set and COPSS estimate of one analysis of the mean table."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(_analyze_argv("mean", variant, "sn", "json")) == 0
+    doc = json.loads(buf.getvalue())
+    return doc["candidates"], doc["confidence_set"], doc["copss"]
+
+
+# mdep:m is the (m + 1)-way split of ms:(m + 1), and one split is the plain pipeline
+@pytest.mark.parametrize("variant, same_as", [
+    ("mdep:0", "ms:1"), ("mdep:1", "ms:2"), ("mdep:2", "ms:3"), ("ms:1", "plain"),
+])
+def test_variants_that_are_the_same_pipeline(variant, same_as, corpus_dir, monkeypatch):
+    monkeypatch.chdir(corpus_dir)
+    assert _analysis(variant) == _analysis(same_as)
+
+
 def test_analyze_bytes_independent_of_openblas_threads(corpus_dir):
     # B = 4000 makes three chunks at this size, so two BLAS threads become two
     # bootstrap threads; OpenBLAS caps the count at the cores it finds

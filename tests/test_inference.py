@@ -18,7 +18,6 @@ from optics_cp import (
     confidence_set,
     copss_estimate,
     criterion,
-    m_optics,
     optics,
     run_experiment,
     xi_matrix,
@@ -659,8 +658,8 @@ def test_concurrent_optics_calls_get_the_serial_bytes(monkeypatch):
     lambda: confidence_set(run_pipeline(mean_series(1), b=20)[1], 1.0),
     lambda: HuberConfig(kappa=0.0),
     lambda: cauchy_combine([]),
-    lambda: m_optics(mean_series(1), ScoreModel("mean"), DetectorKind("sn"), CandidateSet(2),
-                     m_dep=-1),
+    lambda: optics(mean_series(1), ScoreModel("mean"), DetectorKind("sn"), CandidateSet(2),
+                   L=0),
 ], ids=["detector", "min_seg", "k_max", "family", "non_finite", "alpha", "huber", "cauchy",
         "m_dep"])
 def test_user_facing_checks_raise_config_error(make):

@@ -172,7 +172,7 @@ _KW = dict(b_reps=50, seed=0, detector=DetectorKind("sn"), k_max=2)
 
 def test_worker_processes_bounded_by_threads(fresh_pool, monkeypatch):
     seen = []
-    real = sim._run_variant
+    real = sim.optics
 
     def counting(*args, **kwargs):
         if os.getpid() == caller:
@@ -180,7 +180,7 @@ def test_worker_processes_bounded_by_threads(fresh_pool, monkeypatch):
         return real(*args, **kwargs)
 
     caller = os.getpid()
-    monkeypatch.setattr(sim, "_run_variant", counting)
+    monkeypatch.setattr(sim, "optics", counting)
     for threads, runs in ((3, 6), (2, 4), (4, 2), (1, 3), (3, 1), (2, 5)):
         run_experiment(_SPEC, runs=runs, threads=threads, **_KW)
         assert child_count() == min(threads, runs) - 1
@@ -188,14 +188,14 @@ def test_worker_processes_bounded_by_threads(fresh_pool, monkeypatch):
 
 
 def test_worker_error_is_the_serial_error(fresh_pool, monkeypatch):
-    real = sim._run_variant
+    real = sim.optics
 
     def failing(ts, model, kind, m, alpha, cfg, **kwargs):
         if cfg.seed >= 1:  # seed 0 XOR i: every run but run 0
             raise DomainError(f"run {cfg.seed} failed")
         return real(ts, model, kind, m, alpha, cfg, **kwargs)
 
-    monkeypatch.setattr(sim, "_run_variant", failing)
+    monkeypatch.setattr(sim, "optics", failing)
     for threads in (1, 2, 3):
         with pytest.raises(DomainError, match=r"^run 1 failed$"):
             run_experiment(_SPEC, runs=4, threads=threads, **_KW)
@@ -204,7 +204,7 @@ def test_worker_error_is_the_serial_error(fresh_pool, monkeypatch):
 
 
 def test_dead_worker_discards_pool(fresh_pool, monkeypatch):
-    real = sim._run_variant
+    real = sim.optics
     caller = os.getpid()
 
     def dying(ts, model, kind, m, alpha, cfg, **kwargs):
@@ -212,11 +212,11 @@ def test_dead_worker_discards_pool(fresh_pool, monkeypatch):
             os._exit(1)
         return real(ts, model, kind, m, alpha, cfg, **kwargs)
 
-    monkeypatch.setattr(sim, "_run_variant", dying)
+    monkeypatch.setattr(sim, "optics", dying)
     with pytest.raises(OpticsError, match=r"worker process \d+ died"):
         run_experiment(_SPEC, runs=6, threads=3, **_KW)
     assert not sim._workers and child_count() == 0
-    monkeypatch.setattr(sim, "_run_variant", real)
+    monkeypatch.setattr(sim, "optics", real)
     assert run_experiment(_SPEC, runs=3, threads=2, **_KW).runs == 3
 
 
