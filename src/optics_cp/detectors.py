@@ -7,7 +7,8 @@ time; the segment-neighborhood dynamic program is exact for every k up
 to a maximum in a single table pass, which it fills in blocks of end
 points with one vectorised step per block and boundary count.  Only the
 whole series is split by the maximal count, so its layer is evaluated at
-t = n alone, bitwise as the full table would hold it.
+t = n alone, bitwise as the full table would hold it.  All segment costs
+sum their squared distances in one fixed order, coordinate by coordinate.
 ``fit_all_candidates`` is the one entry that checks feasibility and builds
 segmentations; the single-count fitters return one of its entries.
 
@@ -57,6 +58,7 @@ class CostCache:
     cum[t] is the coordinatewise sum of the first t score vectors and
     cum_sq[t] the sum of their squared norms, so the SSE of the block
     (a, b] is cum_sq[b] - cum_sq[a] - ||cum[b] - cum[a]||^2 / (b - a).
+    ``cum`` is column-major, so ``_sq_dist`` reads contiguous coordinates.
     """
 
     cum: np.ndarray
@@ -68,7 +70,7 @@ class CostCache:
     def from_scores(cls, scores) -> "CostCache":
         arr = data_matrix(scores)
         n, d_p = arr.shape
-        cum = np.zeros((n + 1, d_p))
+        cum = np.zeros((n + 1, d_p), order="F")
         cum_sq = np.zeros(n + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             np.cumsum(arr, axis=0, out=cum[1:])
@@ -84,12 +86,26 @@ class CostCache:
         return cls(cum=cum, cum_sq=cum_sq, n=n, d_p=d_p)
 
 
+def _sq_dist(cum: np.ndarray, b, a, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """||cum[b] - cum[a]||^2 into ``out`` in the one fixed order: coordinate 0
+    squared into ``out``, then each further one squared into ``scratch`` and
+    added, left to right.  ``b`` and ``a`` index a column of ``cum``."""
+    for k in range(cum.shape[1]):
+        col, d = cum[:, k], scratch if k else out
+        np.subtract(col[b], col[a], out=d)
+        np.multiply(d, d, out=d)
+        if k:
+            np.add(out, d, out=out)
+    return out
+
+
 def _costs(cache: CostCache, a, b) -> np.ndarray:
     """SSE of every block (a, b] at once; ``a`` and ``b`` are indices or index
     arrays that broadcast against each other, with a < b throughout."""
-    diff = cache.cum[b] - cache.cum[a]
+    shape = np.broadcast(a, b).shape
+    sq_dist = _sq_dist(cache.cum, b, a, np.empty(shape), np.empty(shape))
     sq = cache.cum_sq[b] - cache.cum_sq[a]
-    return np.maximum(sq - np.sum(diff * diff, axis=-1) / (b - a), 0.0)
+    return np.maximum(sq - sq_dist / (b - a), 0.0)
 
 
 def _bs_best_split(cache: CostCache, a: int, b: int, min_seg: int):
@@ -154,17 +170,16 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     smallest boundary).  Layer j - 1 of a block is complete before
     layer j reads it, because every boundary s lies below t.  The
     scratch buffers are allocated once per call and sized by
-    ``_SN_BLOCK_BYTES``; with one score coordinate the squared
-    differences go straight into the temporary, so there are three.
+    ``_SN_BLOCK_BYTES``: C, the squared distances, and the window, which
+    also takes the lengths and each further coordinate's squares.
     """
-    n, d_p = cache.n, cache.d_p
+    n = cache.n
     cost = np.full((k_max + 1, n + 1), np.inf)
     back = np.zeros((k_max + 1, n + 1), dtype=np.int64)
     width = n + 1 - min_seg  # admissible last boundaries s = 0 .. n - min_seg
     if width < 1:
         return cost, back
-    b = max(1, min(_SN_BLOCK_MAX_ROWS, _SN_BLOCK_BYTES // (8 * width * max(d_p, 1))))
-    diff = np.empty((b, width, d_p)) if d_p > 1 else None
+    b = max(1, min(_SN_BLOCK_MAX_ROWS, _SN_BLOCK_BYTES // (8 * width)))
     c = np.empty((b, width))
     tmp = np.empty((b, width))
     w = np.empty(b * width)  # reshaped per use: argmin copies non-contiguous input
@@ -179,19 +194,11 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
             t1 = min(t0 + b, n + 1)
             rows, m = t1 - t0, t1 - min_seg  # columns 0 .. m - 1 reach some row
             cv, tv = c[:rows, :m], tmp[:rows, :m]
-            # C = max(sq - sum(diff^2) / length, 0) with the operations of a single
-            # end point's cost vector, entry for entry, so every entry is bitwise equal;
-            # a sum over one coordinate is that coordinate, so d_p = 1 skips it
-            if diff is None:
-                np.subtract(cache.cum[t0:t1, None, 0], cache.cum[None, :m, 0], out=tv)
-                np.multiply(tv, tv, out=tv)
-            else:
-                dv = diff[:rows, :m]
-                np.subtract(cache.cum[t0:t1, None, :], cache.cum[None, :m, :], out=dv)
-                np.multiply(dv, dv, out=dv)
-                np.sum(dv, axis=2, out=tv)
-            np.subtract(cache.cum_sq[t0:t1, None], cache.cum_sq[None, :m], out=cv)
             lengths = w[: rows * m].reshape(rows, m)
+            # C = max(sq - sq_dist / length, 0) with the operations of ``_costs``,
+            # entry for entry, so every entry is bitwise equal
+            _sq_dist(cache.cum, np.s_[t0:t1, None], np.s_[None, :m], tv, lengths)
+            np.subtract(cache.cum_sq[t0:t1, None], cache.cum_sq[None, :m], out=cv)
             np.subtract(pos[t0:t1, None], pos[None, :m], out=lengths)
             np.divide(tv, lengths, out=tv)
             np.subtract(cv, tv, out=cv)

@@ -249,6 +249,40 @@ def test_huge_tables_exit_as_unscaled_or_name_overflow(pair, detector, k_max):
         assert "Infinity" not in big_out and "NaN" not in big_out
 
 
+_NAME = st.text("abxyz019_-.", min_size=1, max_size=8).filter(lambda s: s not in (".", ".."))
+
+
+@settings(max_examples=30, **_SETTINGS)
+@given(command=st.sampled_from(["analyze", "simulate"]),
+       kind=st.sampled_from(["missing parent", "file parent", "directory"]),
+       names=st.lists(_NAME, min_size=1, max_size=3, unique=True),
+       suffix=st.sampled_from([".csv", ".json"]))
+def test_unwritable_output_ends_in_exit_3(command, kind, names, suffix):
+    # --output names a file below a missing directory, below a regular file,
+    # or a directory (for simulate, the prefix's .csv or .json): exit 3, never
+    # a traceback, whether it is caught before the runs or at the write
+    with tempfile.TemporaryDirectory() as tmp:
+        top = os.path.join(tmp, names[0])
+        target = os.path.join(tmp, *names, "out")
+        if kind == "file parent":
+            _write(tmp, "")
+            os.rename(os.path.join(tmp, "data.csv"), top)
+        elif kind == "directory":
+            target = os.path.join(tmp, *names)
+            os.makedirs(target + suffix if command == "simulate" else target)
+        if command == "analyze":
+            table = np.repeat([0.0, 2.0], 30) + np.random.default_rng(0).standard_normal(60)
+            data = _write(tmp, "\n".join(repr(float(v)) for v in table) + "\n")
+            argv = ["analyze", "--input", data, "--B", "5", "--seed", "1"]
+        else:
+            argv = ["simulate", "--preset", "tab1", "--runs", "1", "--B", "5"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--output", target])
+    assert code == 3 and not out.getvalue()
+    assert err.getvalue().startswith("error: cannot write ") and "Traceback" not in err.getvalue()
+
+
 # --- the loadtxt reader against the line-by-line reader --------------------------
 
 def _read_csv_by_line(path):

@@ -181,7 +181,9 @@ def test_detector_kind_validation():
 
 def _sn_tables_per_t(cache, k_max, min_seg):
     """The DP one end point t at a time: segment costs ending at t, then
-    one argmin per layer.  The reference for the blocked ``_sn_tables``."""
+    one argmin per layer.  The reference for the blocked ``_sn_tables``.
+    Squared coordinates are summed left to right, the order the package
+    fixes; ``np.sum`` would add eight or more of them pairwise."""
     n = cache.n
     cost = np.full((k_max + 1, n + 1), np.inf)
     back = np.zeros((k_max + 1, n + 1), dtype=np.int64)
@@ -189,7 +191,10 @@ def _sn_tables_per_t(cache, k_max, min_seg):
         diff = cache.cum[t] - cache.cum[:t]
         sq = cache.cum_sq[t] - cache.cum_sq[:t]
         lengths = t - np.arange(t)
-        col = np.maximum(sq - np.sum(diff * diff, axis=1) / lengths, 0.0)
+        sq_dist = diff[:, 0] * diff[:, 0]
+        for k in range(1, cache.d_p):
+            sq_dist = sq_dist + diff[:, k] * diff[:, k]
+        col = np.maximum(sq - sq_dist / lengths, 0.0)
         if t >= min_seg:
             cost[0, t] = col[0]
         for j in range(1, min(k_max, t // min_seg - 1) + 1):
@@ -210,7 +215,7 @@ def _dp_data(kind, n, d_p, rng):
 
 
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
-@pytest.mark.parametrize("d_p", [1, 2, 6])
+@pytest.mark.parametrize("d_p", [1, 2, 6, 9])
 @pytest.mark.parametrize("min_seg", [2, 5, 20])
 def test_blocked_sn_tables_match_per_t_reference(monkeypatch, kind, d_p, min_seg):
     from optics_cp import detectors
@@ -223,7 +228,7 @@ def test_blocked_sn_tables_match_per_t_reference(monkeypatch, kind, d_p, min_seg
         width = n + 1 - min_seg
         # one row per block; rows just under, at and over min_seg; the default
         for rows in (1, min_seg - 1, min_seg, min_seg + 1, 7, None):
-            budget = 8 * width * d_p * rows if rows else 1 << 20
+            budget = 8 * width * rows if rows else 1 << 20
             monkeypatch.setattr(detectors, "_SN_BLOCK_BYTES", budget)
             cost, back = _sn_tables(cache, k_max, min_seg)
             assert np.array_equal(cost, want[0]), (n, k_max, rows)
@@ -231,7 +236,7 @@ def test_blocked_sn_tables_match_per_t_reference(monkeypatch, kind, d_p, min_seg
 
 
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
-@pytest.mark.parametrize("d_p", [1, 2, 6])
+@pytest.mark.parametrize("d_p", [1, 2, 6, 9])
 @pytest.mark.parametrize("min_seg", [2, 5, 20])
 def test_fit_all_candidates_top_layer_matches_full_table(kind, d_p, min_seg):
     # fit_all_candidates fills layers below k_max and evaluates k_max at t = n only
@@ -252,6 +257,23 @@ def test_fit_all_candidates_top_layer_matches_full_table(kind, d_p, min_seg):
             assert seg.taus == tuple(reversed(taus)), (n, k_max, k)
 
 
+@pytest.mark.parametrize("d_p", [1, 2, 6, 9])
+def test_sn_first_layer_is_costs_bitwise(d_p):
+    # the DP table and _costs share one order of the coordinate sum
+    from optics_cp.detectors import _sn_tables
+
+    rng = np.random.default_rng([d_p, 2])
+    n, min_seg = 157, 5
+    for x in (rng.standard_normal((n, d_p)) * 10.0 ** rng.uniform(-3, 3, size=d_p),
+              rng.integers(-2, 3, size=(n, d_p)).astype(float)):
+        cache = CostCache.from_scores(x)
+        cost, _ = _sn_tables(cache, 2, min_seg)
+        ts = np.arange(min_seg, n + 1)
+        assert np.array_equal(cost[0, ts], _costs(cache, 0, ts))
+        for t in ts:
+            assert cost[0, t] == _costs(cache, 0, t), t
+
+
 def test_blocked_sn_tables_short_series():
     from optics_cp.detectors import _sn_tables
 
@@ -270,21 +292,22 @@ def test_sn_tables_scratch_is_bounded():
     from optics_cp.detectors import _sn_tables
 
     n, k_max = 8000, 8
-    cache = CostCache.from_scores(np.random.default_rng(8).standard_normal(n))
-    tracemalloc.start()
-    try:
-        _sn_tables(cache, k_max, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the two returned tables, three scratch buffers (C, a temporary that
-    # takes the squared differences when d_p = 1, and the window) of at most
-    # one budget each, the (n + 1) float positions, and 256 KiB of
-    # transients: numpy's iterator buffers for a ufunc with broadcast inputs
-    # (8,192 elements for each of three operands, 192 KiB) plus the
-    # per-block row vectors, the row indices and the row mask.  Sized per
-    # block without the budget (64 rows of 8,000), the buffers alone would
-    # take 12 MiB.
+    # the two returned tables, three scratch buffers whatever d_p is (C, a
+    # temporary that takes the squared distances, and the window, which also
+    # takes each further coordinate's squares) of at most one budget each,
+    # the (n + 1) float positions, and 256 KiB of transients: numpy's
+    # iterator buffers for a ufunc with broadcast inputs (8,192 elements for
+    # each of three operands, 192 KiB) plus the per-block row vectors, the
+    # row indices and the row mask.  Sized per block without the budget (64
+    # rows of 8,000), the buffers alone would take 12 MiB.
     tables = 2 * (k_max + 1) * (n + 1) * 8
     bound = tables + 3 * detectors._SN_BLOCK_BYTES + (n + 1) * 8 + (256 << 10)
-    assert peak < bound
+    for d_p in (1, 6):
+        cache = CostCache.from_scores(np.random.default_rng(8).standard_normal((n, d_p)))
+        tracemalloc.start()
+        try:
+            _sn_tables(cache, k_max, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, d_p
