@@ -140,10 +140,13 @@ def _resolve_seed(arg_seed) -> int:
 
 
 def _check_output(path: str) -> None:
-    """Fail before any work when the directory of an output path is missing."""
+    """Fail before any work on an output path with no directory or no file name."""
     folder = os.path.dirname(path) or "."
     if path != "-" and not os.path.isdir(folder):
-        raise ConfigError(f"cannot write {path}: no directory {folder}")
+        why = f"{folder} is not a directory" if os.path.exists(folder) else f"no directory {folder}"
+        raise ConfigError(f"cannot write {path}: {why}")
+    if not os.path.basename(path):
+        raise ConfigError(f"cannot write {path}: the path has no file name")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -373,7 +376,11 @@ def _run_simulate(args) -> int:
         _write_text("-", text)
     else:
         _write_text(args.output + ".csv", _csv_text(report.csv_rows()))
-        _write_text(args.output + ".json", text)
+        try:
+            _write_text(args.output + ".json", text)
+        except ConfigError:
+            os.remove(args.output + ".csv")  # no half of the output is left behind
+            raise
         logger.info("wrote %s.csv and %s.json", args.output, args.output)
     return EXIT_OK
 

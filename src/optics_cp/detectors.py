@@ -5,10 +5,11 @@ a score sequence and return, for a requested count k, the positions of
 the k boundaries.  Binary segmentation splits greedily one boundary at a
 time; the segment-neighborhood dynamic program is exact for every k up
 to a maximum in a single table pass, which it fills in blocks of end
-points with one vectorised step per block and boundary count.  Only the
-whole series is split by the maximal count, so its layer is evaluated at
-t = n alone, bitwise as the full table would hold it.  All segment costs
-sum their squared distances in one fixed order, coordinate by coordinate.
+points with one vectorised step per block and boundary count, on two
+threads where numpy's BLAS had two or more.  Only the whole series is
+split by the maximal count, so its layer is evaluated at t = n alone,
+bitwise as the full table would hold it.  All segment costs sum their
+squared distances in one fixed order, coordinate by coordinate.
 ``fit_all_candidates`` is the one entry that checks feasibility and builds
 segmentations; the single-count fitters return one of its entries.
 
@@ -18,10 +19,12 @@ so repeated runs produce identical segmentations.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .core import CandidateSet, Segmentation, data_matrix
 from .errors import ConfigError, DomainError, InfeasibleError
 
@@ -168,10 +171,14 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     and then fills layer j for all of its rows with one addition of
     cost[j - 1] and one row-wise argmin (first index, so ties go to the
     smallest boundary).  Layer j - 1 of a block is complete before
-    layer j reads it, because every boundary s lies below t.  The
-    scratch buffers are allocated once per call and sized by
-    ``_SN_BLOCK_BYTES``: C, the squared distances, and the window, which
-    also takes the lengths and each further coordinate's squares.
+    layer j reads it, because every boundary s lies below t.
+
+    With T >= 2 threads (``blas.single_thread``) and two blocks or more, a
+    helper builds block i + 1 into a second C, and its first layers, while
+    the caller fills block i; every entry takes the same operations, so the
+    tables do not depend on T.  Scratch is C and a temporary (squared
+    distances, then window) of one ``_SN_BLOCK_BYTES`` each or, pipelined,
+    two C, the helper's temporary and the caller's window of 2/3 the rows.
     """
     n = cache.n
     cost = np.full((k_max + 1, n + 1), np.inf)
@@ -180,42 +187,82 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     if width < 1:
         return cost, back
     b = max(1, min(_SN_BLOCK_MAX_ROWS, _SN_BLOCK_BYTES // (8 * width)))
-    c = np.empty((b, width))
-    tmp = np.empty((b, width))
-    w = np.empty(b * width)  # reshaped per use: argmin copies non-contiguous input
-    pos = np.arange(n + 1, dtype=np.float64)
-    ar = np.arange(b)
-    # the last b - 1 columns a block reaches lie past the last admissible
-    # boundary of its earlier rows: row r may not use column q of them if q >= r
-    mask = np.arange(b - 1)[None, :] >= np.arange(b)[:, None]
-    # entries with s >= t divide by a length <= 0 before they are masked
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t0 in range(min_seg, n + 1, b):
-            t1 = min(t0 + b, n + 1)
+    with blas.single_thread() as threads:
+        pipelined = threads > 1 and width > b
+        b = max(1, 2 * b // 3) if pipelined else b
+        blocks = [(t0, min(t0 + b, n + 1)) for t0 in range(min_seg, n + 1, b)]
+        slots = [np.empty(b * width) for _ in range(1 + pipelined)]  # flat, so views are contiguous
+        tmp, w = np.empty(b * width), (np.empty(b * width) if pipelined else None)
+        rev = np.arange(n, -b, -1.0)  # rev[k] = n - k, so a block's lengths t - s are a view
+        ar = np.arange(b)
+        # the last b - 1 columns a block reaches lie past the last admissible
+        # boundary of its earlier rows: row r may not use column q of them if q >= r
+        mask = np.arange(b - 1)[None, :] >= np.arange(b)[:, None]
+        # a build costs about 3 + d_p layers: the helper fills the first few too
+        early = max(0, k_max - 3 - cache.d_p) // 2 if pipelined else k_max
+
+        # entries with s >= t divide by a length <= 0 before they are masked
+        @np.errstate(divide="ignore", invalid="ignore")
+        def build(i):
+            t0, t1 = blocks[i]
             rows, m = t1 - t0, t1 - min_seg  # columns 0 .. m - 1 reach some row
-            cv, tv = c[:rows, :m], tmp[:rows, :m]
-            lengths = w[: rows * m].reshape(rows, m)
-            # C = max(sq - sq_dist / length, 0) with the operations of ``_costs``,
-            # entry for entry, so every entry is bitwise equal
-            _sq_dist(cache.cum, np.s_[t0:t1, None], np.s_[None, :m], tv, lengths)
+            cv, tv = (a[: rows * m].reshape(rows, m) for a in (slots[i % len(slots)], tmp))
+            lengths = np.lib.stride_tricks.as_strided(rev[n - t0 :], (rows, m), (-8, 8))
+            # C = max(sq - sq_dist / length, 0) with the operations of ``_costs``, entry
+            # for entry, so bitwise equal; C takes the further squares before sq
+            _sq_dist(cache.cum, np.s_[t0:t1, None], np.s_[None, :m], tv, cv)
             np.subtract(cache.cum_sq[t0:t1, None], cache.cum_sq[None, :m], out=cv)
-            np.subtract(pos[t0:t1, None], pos[None, :m], out=lengths)
             np.divide(tv, lengths, out=tv)
             np.subtract(cv, tv, out=cv)
             np.maximum(cv, 0.0, out=cv)
             np.copyto(cv[:, m - rows + 1 :], np.inf, where=mask[:rows, : rows - 1])
             cost[0, t0:t1] = cv[:, 0]
-            for j in range(1, k_max + 1):
+            fill(i, range(1, early + 1), tmp)
+
+        def fill(i, layers, window):
+            t0, t1 = blocks[i]
+            rows, m = t1 - t0, t1 - min_seg
+            cv = slots[i % len(slots)][: rows * m].reshape(rows, m)
+            for j in layers:
                 lo = j * min_seg
                 r0 = max(0, lo + min_seg - t0)  # first row with t >= (j + 1) min_seg
                 if r0 >= rows:
                     break
-                win = w[: (rows - r0) * (m - lo)].reshape(rows - r0, m - lo)
+                win = window[: (rows - r0) * (m - lo)].reshape(rows - r0, m - lo)
                 np.add(cv[r0:, lo:], cost[j - 1, lo:m], out=win)
                 idx = np.argmin(win, axis=1)
                 cost[j, t0 + r0 : t1] = win[ar[: rows - r0], idx]
                 back[j, t0 + r0 : t1] = idx + lo
+
+        if pipelined:
+            _pipeline(len(blocks), build, lambda i: fill(i, range(early + 1, k_max + 1), w))
+        else:
+            for i in range(len(blocks)):
+                build(i)
     return cost, back
+
+
+def _pipeline(count: int, build, fill) -> None:
+    """A helper runs build(i + 1) while the caller runs fill(i), for each i < count."""
+    go, ready, halted = threading.Semaphore(), threading.Semaphore(0), threading.Event()
+
+    def builder():
+        for i in range(count):
+            go.acquire()
+            if halted.is_set():
+                return
+            build(i)
+            ready.release()
+
+    def filler():
+        for i in range(count):
+            ready.acquire()
+            if halted.is_set():
+                return
+            go.release()  # block i + 1 goes to the buffer that block i - 1 has left
+            fill(i)
+
+    blas.run([filler, builder], lambda: (halted.set(), go.release(), ready.release()))
 
 
 def _sn_extract(back: np.ndarray, k: int, t: int) -> list[int]:

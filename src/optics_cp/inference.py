@@ -27,12 +27,12 @@ replicates are grouped: the bootstrap draws them in fixed-size chunks of
 replicates, each thread from its own generator re-keyed per replicate.
 
 Threads: the bootstrap pins numpy's OpenBLAS to one thread and spends the
-T threads it had on chunks instead: the caller and up to T - 1 helper
-threads, no more than 16 MiB of chunk buffers allow, each draw a chunk's
-multipliers and multiply them on one BLAS thread.
-Every chunk has the same shape at any T, so the p-values do not depend
-on T or on ``OPENBLAS_NUM_THREADS``; they can still depend on the BLAS
-build and the chunk size, through the last bits of the GEMM.
+T threads it had on chunks instead (``blas.run``, each thread started on
+its own CPU): the caller and up to T - 1 helpers, as far as 16 MiB of chunk
+buffers allow, each draw a chunk's multipliers and multiply them on one
+BLAS thread.  Every chunk has the same shape at any T, so the p-values do
+not depend on T or on ``OPENBLAS_NUM_THREADS``; they can still depend on
+the BLAS build and the chunk size, through the last bits of the GEMM.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
     starts = range(0, b_reps, rows)
     tickets = itertools.count()  # the next chunk to take; next() on it is atomic
     stop = threading.Event()
-    results, errors = [], []
+    results = []
 
     def count_chunks():
         # this thread's buffer, generator and counts
@@ -288,14 +288,7 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
                     gen.standard_normal(out=buf_rows[j])
             t_sharp = ((stud @ mult.T) / math.sqrt(n)).reshape(len(t_obs), -1, c).max(axis=1)
             counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
-        return counts
-
-    def work():
-        try:
-            results.append(count_chunks())
-        except BaseException as exc:  # an interrupt too: the others stop after their chunk
-            errors.append(exc)
-            stop.set()
+        results.append(counts)
 
     # the caller and up to T - 1 helpers share the chunks, T being numpy's BLAS
     # thread count, as far as the buffer budget allows; each multiplies on one
@@ -303,32 +296,8 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
     # do not depend on T
     budget = max(1, _BUFFERS_BYTES // (8 * rows * n))
     with blas.single_thread() as threads:
-        helpers = [threading.Thread(target=work, daemon=True)
-                   for _ in range(min(threads, len(starts), budget) - 1)]
-        try:
-            for t in helpers:
-                t.start()
-            work()
-        finally:
-            stop.set()  # the chunks are all taken on success; on failure none is started
-            _join_all(helpers)
-    if errors:
-        raise errors[0]
+        blas.run([count_chunks] * min(threads, len(starts), budget), stop.set)
     return sum(results) / b_reps
-
-
-def _join_all(threads: list[threading.Thread]) -> None:
-    """Wait for every started thread, through any interrupt; the first
-    interrupt is re-raised once none is left running."""
-    interrupt = None
-    for t in threads:
-        while t.is_alive():
-            try:
-                t.join()
-            except KeyboardInterrupt as exc:
-                interrupt = interrupt or exc
-    if interrupt is not None:
-        raise interrupt
 
 
 def bootstrap_pvalue(xm: XiMatrix, cfg: BootstrapConfig) -> float:

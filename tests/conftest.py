@@ -1,8 +1,10 @@
+import contextlib
 import os
 
 import pytest
 
-from optics_cp import sim
+from optics_cp import blas, sim
+from optics_cp.blas import single_thread as real_pin
 
 
 @pytest.fixture
@@ -14,6 +16,22 @@ def fresh_pool():
     sim._stop_workers()
 
 
+@pytest.fixture
+def force_threads(monkeypatch):
+    """``force_threads(t)`` makes the package's parallel sections (the bootstrap
+    and the exact DP) find ``t`` BLAS threads, whatever the machine has; they
+    still pin BLAS through the real helper."""
+    def force(threads):
+        @contextlib.contextmanager
+        def pinned():
+            with real_pin():
+                yield threads
+
+        monkeypatch.setattr(blas, "single_thread", pinned)
+
+    return force
+
+
 def child_count() -> int:
     """Live child processes of this process (Linux /proc)."""
     path = f"/proc/self/task/{os.getpid()}/children"
@@ -21,3 +39,9 @@ def child_count() -> int:
         pytest.skip("needs /proc/<pid>/task/<tid>/children")
     with open(path, encoding="ascii") as fh:
         return len(fh.read().split())
+
+
+def blas_count():
+    """numpy's OpenBLAS thread count now, or None without numpy's bundled OpenBLAS."""
+    calls = blas._thread_calls()
+    return None if calls is None else calls[0]()

@@ -310,6 +310,16 @@ def test_simulate_output_into_missing_directory_runs_nothing(tmp_path, capsys, m
     assert err == f"error: cannot write {prefix}: no directory {prefix.parent}\n"
 
 
+def test_simulate_unwritable_json_leaves_no_csv(tmp_path, capsys):
+    # the .csv is written first; when the .json cannot be, it is removed again
+    prefix = tmp_path / "p"
+    (tmp_path / "p.json").mkdir()
+    assert main(["simulate", "--preset", "tab1", "--runs", "1", "--B", "5",
+                 "--output", str(prefix)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {prefix}.json: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_unwritable_output_is_config_error_exit_3(tmp_path, capsys, command):
     # the directory exists, but the file cannot be opened: it is a directory

@@ -254,13 +254,14 @@ _NAME = st.text("abxyz019_-.", min_size=1, max_size=8).filter(lambda s: s not in
 
 @settings(max_examples=30, **_SETTINGS)
 @given(command=st.sampled_from(["analyze", "simulate"]),
-       kind=st.sampled_from(["missing parent", "file parent", "directory"]),
+       kind=st.sampled_from(["missing parent", "file parent", "directory", "separator"]),
        names=st.lists(_NAME, min_size=1, max_size=3, unique=True),
        suffix=st.sampled_from([".csv", ".json"]))
 def test_unwritable_output_ends_in_exit_3(command, kind, names, suffix):
     # --output names a file below a missing directory, below a regular file,
-    # or a directory (for simulate, the prefix's .csv or .json): exit 3, never
-    # a traceback, whether it is caught before the runs or at the write
+    # or a directory (for simulate, the prefix's .csv or .json), or it ends in
+    # a path separator: exit 3, never a traceback, and no file left behind,
+    # whether it is caught before the runs or at the write
     with tempfile.TemporaryDirectory() as tmp:
         top = os.path.join(tmp, names[0])
         target = os.path.join(tmp, *names, "out")
@@ -270,17 +271,26 @@ def test_unwritable_output_ends_in_exit_3(command, kind, names, suffix):
         elif kind == "directory":
             target = os.path.join(tmp, *names)
             os.makedirs(target + suffix if command == "simulate" else target)
+        elif kind == "separator":
+            target = os.path.join(tmp, *names, "")
+            os.makedirs(target)
         if command == "analyze":
             table = np.repeat([0.0, 2.0], 30) + np.random.default_rng(0).standard_normal(60)
             data = _write(tmp, "\n".join(repr(float(v)) for v in table) + "\n")
             argv = ["analyze", "--input", data, "--B", "5", "--seed", "1"]
         else:
             argv = ["simulate", "--preset", "tab1", "--runs", "1", "--B", "5"]
+        before = sorted(os.walk(tmp))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--output", target])
+        assert sorted(os.walk(tmp)) == before
     assert code == 3 and not out.getvalue()
     assert err.getvalue().startswith("error: cannot write ") and "Traceback" not in err.getvalue()
+    if kind == "file parent" and len(names) == 1:
+        assert err.getvalue() == f"error: cannot write {target}: {top} is not a directory\n"
+    if kind == "separator":
+        assert err.getvalue() == f"error: cannot write {target}: the path has no file name\n"
 
 
 # --- the loadtxt reader against the line-by-line reader --------------------------

@@ -1,7 +1,11 @@
+import collections
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
+from conftest import blas_count
 
 from optics_cp import (
     CandidateSet,
@@ -217,7 +221,7 @@ def _dp_data(kind, n, d_p, rng):
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
 @pytest.mark.parametrize("d_p", [1, 2, 6, 9])
 @pytest.mark.parametrize("min_seg", [2, 5, 20])
-def test_blocked_sn_tables_match_per_t_reference(monkeypatch, kind, d_p, min_seg):
+def test_blocked_sn_tables_match_per_t_reference(monkeypatch, force_threads, kind, d_p, min_seg):
     from optics_cp import detectors
     from optics_cp.detectors import _sn_tables
 
@@ -230,15 +234,18 @@ def test_blocked_sn_tables_match_per_t_reference(monkeypatch, kind, d_p, min_seg
         for rows in (1, min_seg - 1, min_seg, min_seg + 1, 7, None):
             budget = 8 * width * rows if rows else 1 << 20
             monkeypatch.setattr(detectors, "_SN_BLOCK_BYTES", budget)
-            cost, back = _sn_tables(cache, k_max, min_seg)
-            assert np.array_equal(cost, want[0]), (n, k_max, rows)
-            assert np.array_equal(back, want[1]), (n, k_max, rows)
+            # T = 1 fills the table serially; at T = 2 and 3 a helper builds the blocks
+            for threads in (1, 2, 3):
+                force_threads(threads)
+                cost, back = _sn_tables(cache, k_max, min_seg)
+                assert np.array_equal(cost, want[0]), (n, k_max, rows, threads)
+                assert np.array_equal(back, want[1]), (n, k_max, rows, threads)
 
 
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
 @pytest.mark.parametrize("d_p", [1, 2, 6, 9])
 @pytest.mark.parametrize("min_seg", [2, 5, 20])
-def test_fit_all_candidates_top_layer_matches_full_table(kind, d_p, min_seg):
+def test_fit_all_candidates_top_layer_matches_full_table(force_threads, kind, d_p, min_seg):
     # fit_all_candidates fills layers below k_max and evaluates k_max at t = n only
     from optics_cp.detectors import _sn_tables
 
@@ -246,15 +253,17 @@ def test_fit_all_candidates_top_layer_matches_full_table(kind, d_p, min_seg):
     for n, k_max in ((2 * min_seg, 1), (4 * min_seg + 1, 3), (131, 1), (131, 9), (203, 5)):
         k_max = min(k_max, n // min_seg - 1)  # the most boundaries that fit
         x = _dp_data(kind, n, d_p, rng)
-        _, back = _sn_tables(CostCache.from_scores(x), k_max, min_seg)
-        segs = fit_all_candidates(x, CandidateSet(k_max), DetectorKind("sn", min_seg))
-        assert sorted(segs) == list(range(1, k_max + 1))
-        for k, seg in segs.items():
-            taus, t = [], n
-            for j in range(k, 0, -1):
-                t = int(back[j, t])
-                taus.append(t)
-            assert seg.taus == tuple(reversed(taus)), (n, k_max, k)
+        for threads in (1, 2, 3):
+            force_threads(threads)
+            _, back = _sn_tables(CostCache.from_scores(x), k_max, min_seg)
+            segs = fit_all_candidates(x, CandidateSet(k_max), DetectorKind("sn", min_seg))
+            assert sorted(segs) == list(range(1, k_max + 1))
+            for k, seg in segs.items():
+                taus, t = [], n
+                for j in range(k, 0, -1):
+                    t = int(back[j, t])
+                    taus.append(t)
+                assert seg.taus == tuple(reversed(taus)), (n, k_max, k, threads)
 
 
 @pytest.mark.parametrize("d_p", [1, 2, 6, 9])
@@ -285,24 +294,27 @@ def test_blocked_sn_tables_short_series():
             assert np.array_equal(cost, want[0]) and np.array_equal(back, want[1])
 
 
-def test_sn_tables_scratch_is_bounded():
+def test_sn_tables_scratch_is_bounded(force_threads):
     import tracemalloc
 
     from optics_cp import detectors
     from optics_cp.detectors import _sn_tables
 
     n, k_max = 8000, 8
-    # the two returned tables, three scratch buffers whatever d_p is (C, a
-    # temporary that takes the squared distances, and the window, which also
-    # takes each further coordinate's squares) of at most one budget each,
-    # the (n + 1) float positions, and 256 KiB of transients: numpy's
-    # iterator buffers for a ufunc with broadcast inputs (8,192 elements for
-    # each of three operands, 192 KiB) plus the per-block row vectors, the
-    # row indices and the row mask.  Sized per block without the budget (64
-    # rows of 8,000), the buffers alone would take 12 MiB.
+    # the two returned tables, at most three scratch buffers of one budget
+    # whatever d_p is (serially two: C, which also takes each further
+    # coordinate's squares, and a temporary that takes the squared distances
+    # and then serves as the window; at T = 2 four of 2/3 of the rows: two C,
+    # the helper's temporary and the caller's window), the (n + 1) float
+    # lengths, and 256 KiB of transients: numpy's iterator buffers for a
+    # ufunc with broadcast inputs (8,192 elements for each of two operands,
+    # 128 KiB, in each thread) plus the per-block row vectors, the row
+    # indices and the row mask.  Sized per block without the budget (64 rows
+    # of 8,000), the buffers alone would take 12 MiB.
     tables = 2 * (k_max + 1) * (n + 1) * 8
     bound = tables + 3 * detectors._SN_BLOCK_BYTES + (n + 1) * 8 + (256 << 10)
-    for d_p in (1, 6):
+    for threads, d_p in itertools.product((1, 2), (1, 6)):  # serial, then pipelined
+        force_threads(threads)
         cache = CostCache.from_scores(np.random.default_rng(8).standard_normal((n, d_p)))
         tracemalloc.start()
         try:
@@ -310,4 +322,117 @@ def test_sn_tables_scratch_is_bounded():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < bound, d_p
+        assert peak < bound, (threads, d_p)
+
+
+# --- the two-thread table fill ----------------------------------------------------
+
+def _watch_pipeline(monkeypatch, hook):
+    """Run the real pipeline with its build and fill steps passed through
+    ``hook(stage, i)`` first; returns the steps finished, by stage."""
+    from optics_cp import detectors
+
+    real, done = detectors._pipeline, collections.Counter()
+
+    def pipeline(count, build, fill):
+        def watched(stage, step):
+            def run(i):
+                hook(stage, i)
+                step(i)
+                done[stage] += 1
+            return run
+        real(count, watched("build", build), watched("fill", fill))
+
+    monkeypatch.setattr(detectors, "_pipeline", pipeline)
+    return done
+
+
+def _one_row_blocks(monkeypatch, n, min_seg=5):
+    from optics_cp import detectors
+
+    monkeypatch.setattr(detectors, "_SN_BLOCK_BYTES", 8 * (n + 1 - min_seg))
+    return CostCache.from_scores(np.random.default_rng(3).standard_normal(n))
+
+
+@pytest.mark.parametrize("side", ["build", "fill"])
+def test_sn_pipeline_error_at_a_block_stops_both_threads(monkeypatch, force_threads, side):
+    # the helper's error at block 3, or the caller's interrupt: the other side
+    # stops after its current block, no thread is left and the count is restored
+    from optics_cp.detectors import _sn_tables
+
+    error = RuntimeError("block 3") if side == "build" else KeyboardInterrupt()
+
+    def hook(stage, i):
+        time.sleep(0.002)  # so that the two threads interleave
+        if stage == side and i == 3:
+            raise error
+
+    done = _watch_pipeline(monkeypatch, hook)
+    cache = _one_row_blocks(monkeypatch, 200)
+    force_threads(2)
+    threads_before, count_before = set(threading.enumerate()), blas_count()
+    with pytest.raises(type(error)) as info:
+        _sn_tables(cache, 3, 5)
+    assert info.value is error
+    assert set(threading.enumerate()) == threads_before
+    assert blas_count() == count_before
+    assert done["build"] <= 5 and done["fill"] <= 3  # of 196 blocks
+
+
+def test_sn_pipeline_interrupt_while_joining_waits_for_the_helper(monkeypatch, force_threads):
+    # a second Ctrl-C while the caller joins a helper still building a block:
+    # the caller keeps joining, then re-raises, as the bootstrap does
+    from optics_cp.detectors import _sn_tables
+
+    caller, building = threading.get_ident(), threading.Event()
+
+    def hook(stage, i):
+        if stage == "fill" and i == 2:
+            assert building.wait(10)
+            raise KeyboardInterrupt
+        if stage == "build" and i == 3:
+            building.set()
+            time.sleep(0.1)  # still busy when the caller joins
+
+    done = _watch_pipeline(monkeypatch, hook)
+    cache = _one_row_blocks(monkeypatch, 200)
+    force_threads(2)
+    real_join = threading.Thread.join
+    interrupted = []
+
+    def join(self, timeout=None):
+        if threading.get_ident() == caller and not interrupted:
+            interrupted.append(self.is_alive())
+            raise KeyboardInterrupt
+        return real_join(self, timeout)
+
+    monkeypatch.setattr(threading.Thread, "join", join)
+    threads_before, count_before = set(threading.enumerate()), blas_count()
+    with pytest.raises(KeyboardInterrupt):
+        _sn_tables(cache, 3, 5)
+    assert interrupted == [True]
+    assert set(threading.enumerate()) == threads_before
+    assert blas_count() == count_before
+    assert done == {"build": 4, "fill": 2}  # block 3 was finished, and no other begun
+
+
+def test_sn_pipeline_stress_with_short_switch_interval(monkeypatch, force_threads):
+    # one-row blocks handed over as often as the interpreter switches threads:
+    # a block filled before it is built, or built into a buffer still in use,
+    # moves an entry
+    import sys
+
+    from optics_cp.detectors import _sn_tables
+
+    cache = _one_row_blocks(monkeypatch, 300)
+    force_threads(1)
+    serial = _sn_tables(cache, 9, 5)
+    force_threads(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            cost, back = _sn_tables(cache, 9, 5)
+            assert np.array_equal(cost, serial[0]) and np.array_equal(back, serial[1])
+    finally:
+        sys.setswitchinterval(interval)

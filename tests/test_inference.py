@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import blas_count
 
 from optics_cp import (
     BootstrapConfig,
@@ -22,7 +23,6 @@ from optics_cp import (
     run_experiment,
     xi_matrix,
 )
-from optics_cp.blas import single_thread as real_pin
 from optics_cp.inference import PValueTable
 from optics_cp.inference import test_statistic as studentized_max
 
@@ -438,12 +438,12 @@ def test_bootstrap_memory_independent_of_replicates():
     assert _bootstrap_peak(n_half, b_reps) < b_reps * n_half * 8 / 2
 
 
-def test_bootstrap_memory_independent_of_threads(monkeypatch):
+def test_bootstrap_memory_independent_of_threads(force_threads):
     # on a machine with 20 BLAS threads the chunk buffers of all threads
     # together stay within a fixed budget
     from optics_cp import inference
 
-    _force_threads(monkeypatch, 20)
+    force_threads(20)
     n_half, b_reps = 20_000, 500
     peak = _bootstrap_peak(n_half, b_reps)
     assert peak < b_reps * n_half * 8 / 2
@@ -453,28 +453,6 @@ def test_bootstrap_memory_independent_of_threads(monkeypatch):
 # --- the threaded bootstrap ------------------------------------------------------
 
 _HALF = 120
-
-
-def _force_threads(monkeypatch, threads):
-    """Make the bootstrap find ``threads`` BLAS threads, whatever the machine has;
-    it still pins BLAS through the real helper."""
-    import contextlib
-
-    from optics_cp import blas
-
-    @contextlib.contextmanager
-    def pinned():
-        with real_pin():
-            yield threads
-
-    monkeypatch.setattr(blas, "single_thread", pinned)
-
-
-def _blas_count():
-    from optics_cp import blas
-
-    calls = blas._thread_calls()
-    return None if calls is None else calls[0]()
 
 
 def _rows(k=4, n=_HALF, seed=0):
@@ -487,7 +465,8 @@ def _rows(k=4, n=_HALF, seed=0):
 
 @pytest.mark.parametrize("b_reps", [50, 130])  # below one 64-replicate chunk; no multiple of 3, 7 or 64
 @pytest.mark.parametrize("injected", [False, True])
-def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, b_reps, injected):
+def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, force_threads, b_reps,
+                                                               injected):
     from optics_cp import inference
 
     stud, t_obs = _rows()
@@ -497,13 +476,32 @@ def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, b_r
     for reps in (3, 7, 64):
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * reps)
         for threads in (1, 2, 3, 4):
-            _force_threads(monkeypatch, threads)
+            force_threads(threads)
             results[reps, threads] = inference._bootstrap(stud, t_obs, cfg, _HALF).tobytes()
     assert len(set(results.values())) == 1
     assert 0 < np.frombuffer(results[3, 1]).sum() < len(t_obs)  # counts neither all nor none
 
 
-def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch):
+def test_threaded_bootstrap_bit_equal_with_and_without_placement(monkeypatch, force_threads):
+    # each thread starts on its own CPU, which must not move a count
+    from optics_cp import blas, inference
+
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 5)
+    stud, t_obs = _rows()
+    cfg = BootstrapConfig(b_reps=130, seed=3)
+    placed = []
+    real_place = blas.place
+    monkeypatch.setattr(blas, "place", lambda i: (placed.append(i), real_place(i)))
+    force_threads(2)
+    want = inference._bootstrap(stud, t_obs, cfg, _HALF)
+    assert sorted(placed) == [0, 1]
+    monkeypatch.setattr(blas, "place", lambda i: None)
+    assert inference._bootstrap(stud, t_obs, cfg, _HALF).tobytes() == want.tobytes()
+    force_threads(1)
+    assert inference._bootstrap(stud, t_obs, cfg, _HALF).tobytes() == want.tobytes()
+
+
+def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch, force_threads):
     # 8 threads take 400 one-replicate chunks from the shared counter, switching
     # as often as the interpreter allows: a chunk taken twice or lost moves a count
     import sys
@@ -513,9 +511,9 @@ def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch):
     stud, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=400, seed=5)
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)
-    _force_threads(monkeypatch, 1)
+    force_threads(1)
     serial = inference._bootstrap(stud, t_obs, cfg, _HALF)
-    _force_threads(monkeypatch, 8)
+    force_threads(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -546,13 +544,13 @@ def _watched(stud, fail):
 
 
 @pytest.mark.parametrize("who", ["helper", "caller"])
-def test_threaded_bootstrap_error_stops_every_thread(monkeypatch, who):
+def test_threaded_bootstrap_error_stops_every_thread(monkeypatch, force_threads, who):
     import threading
 
     from optics_cp import inference
 
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)  # one replicate per chunk
-    _force_threads(monkeypatch, 3)
+    force_threads(3)
     caller = threading.get_ident()
     # a helper's third chunk raises an error, or the caller's an interrupt
     error = RuntimeError("third chunk") if who == "helper" else KeyboardInterrupt()
@@ -565,17 +563,17 @@ def test_threaded_bootstrap_error_stops_every_thread(monkeypatch, who):
 
     stud, t_obs = _rows()
     watched, chunks = _watched(stud, fail)
-    threads_before, count_before = set(threading.enumerate()), _blas_count()
+    threads_before, count_before = set(threading.enumerate()), blas_count()
     with pytest.raises(type(error)) as info:
         inference._bootstrap(watched, t_obs, BootstrapConfig(b_reps=300, seed=1), _HALF)
     assert info.value is error
     assert set(threading.enumerate()) == threads_before
-    assert _blas_count() == count_before
+    assert blas_count() == count_before
     # the others stopped after the chunk they were on, long before the 300th
     assert sum(chunks.values()) < 100
 
 
-def test_interrupt_while_joining_waits_for_every_helper(monkeypatch):
+def test_interrupt_while_joining_waits_for_every_helper(monkeypatch, force_threads):
     # a second Ctrl-C during the join: the caller keeps joining, so no helper is
     # left inside numpy when the pin is released, and then re-raises it
     import threading
@@ -584,7 +582,7 @@ def test_interrupt_while_joining_waits_for_every_helper(monkeypatch):
     from optics_cp import inference
 
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)
-    _force_threads(monkeypatch, 3)
+    force_threads(3)
     caller = threading.get_ident()
     stud, t_obs = _rows()
     # helpers are slow, so they are still busy when the caller runs out of chunks
@@ -599,12 +597,12 @@ def test_interrupt_while_joining_waits_for_every_helper(monkeypatch):
         return real_join(self, timeout)
 
     monkeypatch.setattr(threading.Thread, "join", join)
-    threads_before, count_before = set(threading.enumerate()), _blas_count()
+    threads_before, count_before = set(threading.enumerate()), blas_count()
     with pytest.raises(KeyboardInterrupt):
         inference._bootstrap(watched, t_obs, BootstrapConfig(b_reps=20, seed=1), _HALF)
     assert interrupted == [True]
     assert set(threading.enumerate()) == threads_before
-    assert _blas_count() == count_before
+    assert blas_count() == count_before
     assert sum(chunks.values()) == 20  # every chunk was finished
 
 
@@ -631,7 +629,7 @@ def test_concurrent_optics_calls_get_the_serial_bytes(monkeypatch):
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 16)  # 13 chunks of B = 200
     series = {s: mean_series(s) for s in range(4)}
     serial = {s: run_pipeline(ts, seed=s)[1] for s, ts in series.items()}
-    count_before = _blas_count()
+    count_before = blas_count()
     tables = {}
 
     def call(s):
@@ -643,7 +641,7 @@ def test_concurrent_optics_calls_get_the_serial_bytes(monkeypatch):
     for t in callers:
         t.join(timeout=60)
     assert not any(t.is_alive() for t in callers)
-    assert _blas_count() == count_before
+    assert blas_count() == count_before
     for s, table in serial.items():
         assert tables[s].p_hat.tobytes() == table.p_hat.tobytes()
         assert tables[s].t_stat.tobytes() == table.t_stat.tobytes()
