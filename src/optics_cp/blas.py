@@ -1,5 +1,5 @@
 """The one pin of numpy's OpenBLAS to a single thread, shared by the package,
-and the parallel sections (``run``) that spend the T threads it finds.
+and the parallel section (``run``) that spends the T threads it finds.
 
 GEMM results can differ in their last bits between BLAS thread counts, so
 the bootstrap and every Monte Carlo run multiply on one BLAS thread.  The

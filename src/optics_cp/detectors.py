@@ -5,11 +5,13 @@ a score sequence and return, for a requested count k, the positions of
 the k boundaries.  Binary segmentation splits greedily one boundary at a
 time; the segment-neighborhood dynamic program is exact for every k up
 to a maximum in a single table pass, which it fills in blocks of end
-points with one vectorised step per block and boundary count, on two
-threads where numpy's BLAS had two or more.  Only the whole series is
-split by the maximal count, so its layer is evaluated at t = n alone,
-bitwise as the full table would hold it.  All segment costs sum their
-squared distances in one fixed order, coordinate by coordinate.
+points with one vectorised step per block and boundary count.  On long
+series each block first drops the groups of boundaries that a lower
+bound proves cannot hold a minimum; the tables stay bit for bit those of
+the full pass.  Only the whole series is split by the maximal count, so
+its layer is evaluated at t = n alone, bitwise as the full table would
+hold it.  All segment costs sum their squared distances in one fixed
+order, coordinate by coordinate.
 ``fit_all_candidates`` is the one entry that checks feasibility and builds
 segmentations; the single-count fitters return one of its entries.
 
@@ -19,12 +21,10 @@ so repeated runs produce identical segmentations.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas
 from .core import CandidateSet, Segmentation, data_matrix
 from .errors import ConfigError, DomainError, InfeasibleError
 
@@ -35,6 +35,13 @@ SEGMENT_NEIGHBORHOOD = "sn"
 # scratch buffers of about this many bytes each, and at most this many rows.
 _SN_BLOCK_BYTES = 1 << 20
 _SN_BLOCK_MAX_ROWS = 64
+# From this many points on (below it the test cost more than it saved), a
+# block first drops the groups of _SN_GROUP (a power of two) columns that
+# provably hold no minimum.  After a block that drops under a tenth of its
+# columns the test waits 1, 2, 4, ... blocks, at most _SN_PRUNE_PAUSE.
+_SN_PRUNE_FROM = 2000
+_SN_GROUP = 64
+_SN_PRUNE_PAUSE = 16
 
 
 @dataclass(frozen=True)
@@ -102,13 +109,13 @@ def _sq_dist(cum: np.ndarray, b, a, out: np.ndarray, scratch: np.ndarray) -> np.
     return out
 
 
-def _costs(cache: CostCache, a, b) -> np.ndarray:
-    """SSE of every block (a, b] at once; ``a`` and ``b`` are indices or index
-    arrays that broadcast against each other, with a < b throughout."""
+def _costs(cache: CostCache, a, b, least: float = 0.0) -> np.ndarray:
+    """SSE of every block (a, b] at once, or ``least`` where larger; ``a`` and
+    ``b`` are indices or index arrays that broadcast, with a < b throughout."""
     shape = np.broadcast(a, b).shape
     sq_dist = _sq_dist(cache.cum, b, a, np.empty(shape), np.empty(shape))
     sq = cache.cum_sq[b] - cache.cum_sq[a]
-    return np.maximum(sq - sq_dist / (b - a), 0.0)
+    return np.maximum(sq - sq_dist / (b - a), least)
 
 
 def _bs_best_split(cache: CostCache, a: int, b: int, min_seg: int):
@@ -170,99 +177,122 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     costs C[t, s] = SSE of (s, t] once, with C = inf where s > t - min_seg,
     and then fills layer j for all of its rows with one addition of
     cost[j - 1] and one row-wise argmin (first index, so ties go to the
-    smallest boundary).  Layer j - 1 of a block is complete before
-    layer j reads it, because every boundary s lies below t.
-
-    With T >= 2 threads (``blas.single_thread``) and two blocks or more, a
-    helper builds block i + 1 into a second C, and its first layers, while
-    the caller fills block i; every entry takes the same operations, so the
-    tables do not depend on T.  Scratch is C and a temporary (squared
-    distances, then window) of one ``_SN_BLOCK_BYTES`` each or, pipelined,
-    two C, the helper's temporary and the caller's window of 2/3 the rows.
+    smallest boundary).  Layer j - 1 of a block is complete before layer j
+    reads it, because every boundary s lies below t.  From
+    ``_SN_PRUNE_FROM`` points on, C holds only the columns s that
+    ``_sn_live`` cannot rule out, and the block takes its rows from the
+    byte budget over them; the tables are bit for bit those of the full
+    windows.  Scratch is C and a temporary (squared distances, then
+    window) of one ``_SN_BLOCK_BYTES`` each.
     """
-    n = cache.n
+    n, g = cache.n, _SN_GROUP
     cost = np.full((k_max + 1, n + 1), np.inf)
     back = np.zeros((k_max + 1, n + 1), dtype=np.int64)
     width = n + 1 - min_seg  # admissible last boundaries s = 0 .. n - min_seg
     if width < 1:
         return cost, back
-    b = max(1, min(_SN_BLOCK_MAX_ROWS, _SN_BLOCK_BYTES // (8 * width)))
-    with blas.single_thread() as threads:
-        pipelined = threads > 1 and width > b
-        b = max(1, 2 * b // 3) if pipelined else b
-        blocks = [(t0, min(t0 + b, n + 1)) for t0 in range(min_seg, n + 1, b)]
-        slots = [np.empty(b * width) for _ in range(1 + pipelined)]  # flat, so views are contiguous
-        tmp, w = np.empty(b * width), (np.empty(b * width) if pipelined else None)
-        rev = np.arange(n, -b, -1.0)  # rev[k] = n - k, so a block's lengths t - s are a view
-        ar = np.arange(b)
-        # the last b - 1 columns a block reaches lie past the last admissible
-        # boundary of its earlier rows: row r may not use column q of them if q >= r
-        mask = np.arange(b - 1)[None, :] >= np.arange(b)[:, None]
-        # a build costs about 3 + d_p layers: the helper fills the first few too
-        early = max(0, k_max - 3 - cache.d_p) // 2 if pipelined else k_max
-
-        # entries with s >= t divide by a length <= 0 before they are masked
-        @np.errstate(divide="ignore", invalid="ignore")
-        def build(i):
-            t0, t1 = blocks[i]
-            rows, m = t1 - t0, t1 - min_seg  # columns 0 .. m - 1 reach some row
-            cv, tv = (a[: rows * m].reshape(rows, m) for a in (slots[i % len(slots)], tmp))
-            lengths = np.lib.stride_tricks.as_strided(rev[n - t0 :], (rows, m), (-8, 8))
-            # C = max(sq - sq_dist / length, 0) with the operations of ``_costs``, entry
-            # for entry, so bitwise equal; C takes the further squares before sq
-            _sq_dist(cache.cum, np.s_[t0:t1, None], np.s_[None, :m], tv, cv)
-            np.subtract(cache.cum_sq[t0:t1, None], cache.cum_sq[None, :m], out=cv)
-            np.divide(tv, lengths, out=tv)
-            np.subtract(cv, tv, out=cv)
-            np.maximum(cv, 0.0, out=cv)
-            np.copyto(cv[:, m - rows + 1 :], np.inf, where=mask[:rows, : rows - 1])
-            cost[0, t0:t1] = cv[:, 0]
-            fill(i, range(1, early + 1), tmp)
-
-        def fill(i, layers, window):
-            t0, t1 = blocks[i]
-            rows, m = t1 - t0, t1 - min_seg
-            cv = slots[i % len(slots)][: rows * m].reshape(rows, m)
-            for j in layers:
-                lo = j * min_seg
-                r0 = max(0, lo + min_seg - t0)  # first row with t >= (j + 1) min_seg
-                if r0 >= rows:
-                    break
-                win = window[: (rows - r0) * (m - lo)].reshape(rows - r0, m - lo)
-                np.add(cv[r0:, lo:], cost[j - 1, lo:m], out=win)
-                idx = np.argmin(win, axis=1)
-                cost[j, t0 + r0 : t1] = win[ar[: rows - r0], idx]
-                back[j, t0 + r0 : t1] = idx + lo
-
-        if pipelined:
-            _pipeline(len(blocks), build, lambda i: fill(i, range(early + 1, k_max + 1), w))
+    most = min(_SN_BLOCK_MAX_ROWS, width)
+    size = max(width, min(most * width, _SN_BLOCK_BYTES // 8))
+    cbuf, tmp = np.empty(size), np.empty(size)  # flat, so views are contiguous
+    # rev[k] = n - k, so the lengths of a block's contiguous columns are a view
+    ar, every, rev = np.arange(most), np.arange(n + 1), np.arange(n, -most, -1.0)
+    # the last rows - 1 columns a block reaches lie past the last admissible
+    # boundary of its earlier rows: row r may not use column q of them if q >= r
+    mask = np.arange(most - 1)[None, :] >= ar[:, None]
+    floor = None  # per group: the least unclamped cost of (s, u], u its last column, or 0
+    if n >= _SN_PRUNE_FROM and k_max:
+        s = every[: width // g * g]
+        with np.errstate(invalid="ignore"):  # s = u gives 0 / 0, which fmin skips
+            raw = _costs(cache, s, s | (g - 1), -np.inf).reshape(-1, g)
+        floor = np.fmin.reduce(raw, axis=1, initial=0.0)
+    groups = cost[:-1, : width // g * g].reshape(k_max, width // g, g)  # a view
+    least = np.full((k_max, width // g), np.inf)  # per group: its least cost[j - 1], once final
+    pause, wait, rows, t0 = 0, 0, most, min_seg
+    while t0 <= n:
+        rows = min(most, n + 1 - t0, 2 * rows)  # the test's cost grows with its rows
+        m, ng = t0 + rows - min_seg, (t0 - min_seg + 1) // g  # ng groups lie below the mask
+        cols, starts = every[:m], [j * min_seg for j in range(1, k_max + 1)]
+        if floor is not None and ng and not pause:
+            live = _sn_live(cache, cost, back, every[t0 : t0 + rows], floor[:ng], least[:, :ng])
+            keep = np.repeat(live.any(axis=0), g)
+            keep[0] = True  # column 0 gives layer 0
+            cols = np.concatenate((np.flatnonzero(keep), cols[ng * g :]))
+            first = np.where(live.any(axis=1), live.argmax(axis=1), ng) * g
+            starts = np.searchsorted(cols, np.maximum(first, starts)).tolist()
+            # after each block that drops under a tenth, the test waits 1, 2, 4, ... blocks
+            pause = wait = min(2 * wait or 1, _SN_PRUNE_PAUSE) if 10 * (m - len(cols)) < m else 0
         else:
-            for i in range(len(blocks)):
-                build(i)
+            pause = max(pause - 1, 0)
+        # rows from the budget over the kept columns, or if it keeps all, over the
+        # full width: more rows on the early, narrow blocks measured slower
+        p = len(cols)
+        cut = rows - min(rows, max(1, _SN_BLOCK_BYTES // (8 * (p if p < m else width))))
+        rows, t1, p, m = rows - cut, t0 + rows - cut, p - cut, m - cut
+        cols = cols[:p]  # the columns past the last row's are all at the end
+        cv, tv = (a[: rows * p].reshape(rows, p) for a in (cbuf, tmp))
+        a = cols if p < m else np.s_[:m]
+        # C = max(sq - sq_dist / length, 0) with the operations of ``_costs``, entry
+        # for entry, so bitwise equal; C takes the further squares, and packed, the lengths
+        with np.errstate(divide="ignore", invalid="ignore"):  # s >= t, masked below
+            _sq_dist(cache.cum, np.s_[t0:t1, None], a, tv, cv)
+            if p < m:
+                lengths = np.subtract(rev[cols], rev[t0:t1, None], out=cv)
+            else:  # a view: lengths t - s = rev[s] - rev[t] run down the diagonals
+                lengths = np.lib.stride_tricks.as_strided(rev[n - t0 :], (rows, m), (-8, 8))
+            np.divide(tv, lengths, out=tv)
+            np.subtract(cache.cum_sq[t0:t1, None], cache.cum_sq[a], out=cv)
+            np.subtract(cv, tv, out=cv)
+        np.maximum(cv, 0.0, out=cv)
+        np.copyto(cv[:, p - rows + 1 :], np.inf, where=mask[:rows, : rows - 1])
+        cost[0, t0:t1] = cv[:, 0]
+        for j, q in enumerate(starts, 1):
+            r0 = max(0, (j + 1) * min_seg - t0)  # first row with t >= (j + 1) min_seg
+            if r0 >= rows:
+                break
+            win = tmp[: (rows - r0) * (p - q)].reshape(rows - r0, p - q)
+            np.add(cv[r0:, q:], cost[j - 1, a][q:], out=win)
+            idx = np.argmin(win, axis=1)
+            cost[j, t0 + r0 : t1] = win[ar[: rows - r0], idx]
+            back[j, t0 + r0 : t1] = cols[q + idx] if p < m else idx + q
+        if floor is not None:  # the groups this block completes
+            least[:, t0 // g : t1 // g] = groups[:, t0 // g : t1 // g].min(axis=2)
+        t0 = t1
     return cost, back
 
 
-def _pipeline(count: int, build, fill) -> None:
-    """A helper runs build(i + 1) while the caller runs fill(i), for each i < count."""
-    go, ready, halted = threading.Semaphore(), threading.Semaphore(0), threading.Event()
+def _sn_live(cache: CostCache, cost: np.ndarray, back: np.ndarray, ts: np.ndarray,
+             floor: np.ndarray, least: np.ndarray) -> np.ndarray:
+    """live[j - 1, i]: whether group i of ``_SN_GROUP`` columns may hold the
+    first minimum of layer j's window at some end point of ``ts``.
 
-    def builder():
-        for i in range(count):
-            go.acquire()
-            if halted.is_set():
-                return
-            build(i)
-            ready.release()
+    The groups lie below ts[0] - min_seg + 1, so cost[j - 1] is final on
+    them.  A group is dead when a lower bound LB on its window entries
+    exceeds, strictly and in every row, UB: the entry the window holds at
+    s* = back[j, ts[0] - 1], computed as the window computes it (``_costs``
+    equals C bitwise).  So no dead entry is a minimum, and the argmin over
+    the other columns is the same, bit for bit.
 
-    def filler():
-        for i in range(count):
-            ready.acquire()
-            if halted.is_set():
-                return
-            go.release()  # block i + 1 goes to the buffer that block i - 1 has left
-            fill(i)
-
-    blas.run([filler, builder], lambda: (halted.set(), go.release(), ready.release()))
+    The bound.  Let C~(s, t) = Q[t] - Q[s] - ||S[t] - S[s]||^2 / (t - s),
+    exact on the stored prefix sums S = cum and Q = cum_sq.  For s < u < t,
+    a = u - s, b = t - u, x = S[u] - S[s] and y = S[t] - S[u], the Q terms
+    cancel: C~(s, t) - C~(s, u) - C~(u, t) = ab / (a + b) ||x/a - y/b||^2 >= 0.
+    Rounded sums need not make C~(s, u) >= 0, so ``floor`` holds each group's
+    least computed C~(s, u), u its last column, or 0.  A computed cost is
+    within e Q[t] of C~, e = (d_p + 5) eps: one rounding each of Q[t] - Q[s]
+    and of the difference, d_p + 3 of the squared distance over the length,
+    which is at most 2 Q[t] (Cauchy-Schwarz, while n eps << 1).  So each s of
+    a group ending at u has C(s, t) >= max(C(u, t) + floor - 3 e Q[t], 0), and
+    as rounding to nearest is monotone, its window entry is at least the
+    group's least cost[j - 1] plus that.  The slack, 6 (d_p + 7) eps Q of the
+    last row, covers twice 3 e Q[t] and the eps Q[t] of rounding LB itself.
+    """
+    k_max, g, ng = len(cost) - 1, _SN_GROUP, len(floor)
+    s = back[1:, ts[0] - 1]  # 0 where layer j has no entry yet: then UB is inf
+    ub = _costs(cache, s[:, None], ts) + cost[np.arange(k_max), s][:, None]
+    slack = 6 * (cache.d_p + 7) * np.finfo(float).eps * cache.cum_sq[ts[-1]]
+    ends = np.arange(g - 1, ng * g, g)
+    lb = np.maximum(_costs(cache, ends, ts[:, None]) + (floor - slack), 0.0)
+    return ~(least[:, None, :] + lb > ub[:, :, None]).all(axis=1)
 
 
 def _sn_extract(back: np.ndarray, k: int, t: int) -> list[int]:

@@ -18,9 +18,9 @@ def fresh_pool():
 
 @pytest.fixture
 def force_threads(monkeypatch):
-    """``force_threads(t)`` makes the package's parallel sections (the bootstrap
-    and the exact DP) find ``t`` BLAS threads, whatever the machine has; they
-    still pin BLAS through the real helper."""
+    """``force_threads(t)`` makes the package's parallel section, the bootstrap,
+    find ``t`` BLAS threads, whatever the machine has; it still pins BLAS
+    through the real helper."""
     def force(threads):
         @contextlib.contextmanager
         def pinned():

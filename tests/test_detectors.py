@@ -1,11 +1,7 @@
-import collections
 import itertools
-import threading
-import time
 
 import numpy as np
 import pytest
-from conftest import blas_count
 
 from optics_cp import (
     CandidateSet,
@@ -218,10 +214,24 @@ def _dp_data(kind, n, d_p, rng):
     return np.zeros((n, d_p))
 
 
+@pytest.fixture
+def prune_always(monkeypatch):
+    """Every size of series takes the pruned path of ``_sn_tables``."""
+    from optics_cp import detectors
+
+    monkeypatch.setattr(detectors, "_SN_PRUNE_FROM", 0)
+
+
+def _steps(n, d_p, offset, rng, every=150):
+    """Unit noise around steps of +-3 that change every ``every`` points, at ``offset``."""
+    level = 3.0 * (-1.0) ** (np.arange(n) // every)
+    return offset + level[:, None] + rng.standard_normal((n, d_p))
+
+
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
 @pytest.mark.parametrize("d_p", [1, 2, 6, 9])
 @pytest.mark.parametrize("min_seg", [2, 5, 20])
-def test_blocked_sn_tables_match_per_t_reference(monkeypatch, force_threads, kind, d_p, min_seg):
+def test_blocked_sn_tables_match_per_t_reference(monkeypatch, prune_always, kind, d_p, min_seg):
     from optics_cp import detectors
     from optics_cp.detectors import _sn_tables
 
@@ -234,18 +244,96 @@ def test_blocked_sn_tables_match_per_t_reference(monkeypatch, force_threads, kin
         for rows in (1, min_seg - 1, min_seg, min_seg + 1, 7, None):
             budget = 8 * width * rows if rows else 1 << 20
             monkeypatch.setattr(detectors, "_SN_BLOCK_BYTES", budget)
-            # T = 1 fills the table serially; at T = 2 and 3 a helper builds the blocks
-            for threads in (1, 2, 3):
-                force_threads(threads)
-                cost, back = _sn_tables(cache, k_max, min_seg)
-                assert np.array_equal(cost, want[0]), (n, k_max, rows, threads)
-                assert np.array_equal(back, want[1]), (n, k_max, rows, threads)
+            cost, back = _sn_tables(cache, k_max, min_seg)
+            assert np.array_equal(cost, want[0]), (n, k_max, rows)
+            assert np.array_equal(back, want[1]), (n, k_max, rows)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+@pytest.mark.parametrize("d_p", [1, 6])
+def test_pruned_sn_tables_match_per_t_reference_on_steps(monkeypatch, prune_always, offset, d_p):
+    # steps prune most columns; at a large offset the segment costs are mostly
+    # rounding of the prefix sums, which the bound's slack and floor must cover
+    from optics_cp import detectors
+    from optics_cp.detectors import _sn_tables
+
+    rng = np.random.default_rng([d_p, int(offset) % 1000])
+    for n, k_max, min_seg, every in ((900, 9, 5, 150), (800, 6, 2, 150), (1100, 7, 20, 250),
+                                     (1300, 4, 70, 300)):
+        cache = CostCache.from_scores(_steps(n, d_p, offset, rng, every))
+        want = _sn_tables_per_t(cache, k_max, min_seg)
+        # the default budget, 7 rows and one row per block; at most 64, 7 or 1 rows
+        for rows, most in itertools.product((None, 7, 1), (64, 7, 1)):
+            budget = 8 * (n + 1 - min_seg) * rows if rows else 1 << 20
+            monkeypatch.setattr(detectors, "_SN_BLOCK_BYTES", budget)
+            monkeypatch.setattr(detectors, "_SN_BLOCK_MAX_ROWS", most)
+            cost, back = _sn_tables(cache, k_max, min_seg)
+            assert np.array_equal(cost, want[0]), (n, k_max, rows, most)
+            assert np.array_equal(back, want[1]), (n, k_max, rows, most)
+
+
+def test_sn_tables_prune_most_cells_of_steps(monkeypatch):
+    # at the default crossover and pause: a bound that never fires, or a test
+    # that never runs, would keep every window cell
+    from optics_cp import detectors
+    from optics_cp.detectors import _sn_tables
+
+    n, k_max, min_seg = 4000, 7, 5
+    cache = CostCache.from_scores(_steps(n, 1, 0.0, np.random.default_rng(5), every=800))
+    cells = []
+
+    class Counting:  # numpy, with each argmin's window size noted
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argmin(self, a, axis=None):
+            cells.append(a.size)
+            return np.argmin(a, axis=axis)
+
+    monkeypatch.setattr(detectors, "np", Counting())
+    cost, back = _sn_tables(cache, k_max, min_seg)
+    monkeypatch.undo()
+    admissible = sum(t - (j + 1) * min_seg + 1 for j in range(1, k_max + 1)
+                     for t in range((j + 1) * min_seg, n + 1))
+    assert sum(cells) < 0.5 * admissible
+    want = _sn_tables_per_t(cache, k_max, min_seg)
+    assert np.array_equal(cost, want[0]) and np.array_equal(back, want[1])
+
+
+def test_sn_pruning_bound_holds_where_rounded_prefix_sums_break_monotonicity(
+        monkeypatch, prune_always):
+    # a constant run of this value rounds its prefix sums so that the stored
+    # sums make the cost of some (s, u] inside a group of columns below
+    # minus 1.5 times the slack.  With cost[j - 1] = 0 each window entry is
+    # C(s, t), and the group of the entry UB is taken at can never be dead,
+    # under the floors the table fill passes to the test
+    from optics_cp import detectors
+    from optics_cp.detectors import _SN_GROUP, _sn_live, _sn_tables
+
+    x = np.full(2283, 147353655.86465922)
+    x[1983:] += np.random.default_rng(1).standard_normal(300) * 120
+    cache = CostCache.from_scores(x)
+    n, k_max, g = len(x), 2, _SN_GROUP
+    floors = []
+    monkeypatch.setattr(detectors, "_SN_PRUNE_PAUSE", 0)
+    monkeypatch.setattr(detectors, "_sn_live", lambda *a: floors.append(a[4]) or _sn_live(*a))
+    _sn_tables(cache, k_max, 5)
+    floor = floors[-1]
+    assert floor.min() < -1.5 * 6 * 8 * np.finfo(float).eps * cache.cum_sq[1983]
+    cost, back = np.zeros((k_max + 1, n + 1)), np.zeros((k_max + 1, n + 1), dtype=np.int64)
+    for t0 in (2000, 2100, 2200):
+        ng = (t0 - 4) // g
+        for s in range(0, ng * g, 7):
+            back[1:, t0 - 1] = s
+            live = _sn_live(cache, cost, back, np.arange(t0, t0 + 64), floor[:ng],
+                            np.zeros((k_max, ng)))
+            assert live[:, s // g].all(), (t0, s)
 
 
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
 @pytest.mark.parametrize("d_p", [1, 2, 6, 9])
 @pytest.mark.parametrize("min_seg", [2, 5, 20])
-def test_fit_all_candidates_top_layer_matches_full_table(force_threads, kind, d_p, min_seg):
+def test_fit_all_candidates_top_layer_matches_full_table(prune_always, kind, d_p, min_seg):
     # fit_all_candidates fills layers below k_max and evaluates k_max at t = n only
     from optics_cp.detectors import _sn_tables
 
@@ -253,21 +341,19 @@ def test_fit_all_candidates_top_layer_matches_full_table(force_threads, kind, d_
     for n, k_max in ((2 * min_seg, 1), (4 * min_seg + 1, 3), (131, 1), (131, 9), (203, 5)):
         k_max = min(k_max, n // min_seg - 1)  # the most boundaries that fit
         x = _dp_data(kind, n, d_p, rng)
-        for threads in (1, 2, 3):
-            force_threads(threads)
-            _, back = _sn_tables(CostCache.from_scores(x), k_max, min_seg)
-            segs = fit_all_candidates(x, CandidateSet(k_max), DetectorKind("sn", min_seg))
-            assert sorted(segs) == list(range(1, k_max + 1))
-            for k, seg in segs.items():
-                taus, t = [], n
-                for j in range(k, 0, -1):
-                    t = int(back[j, t])
-                    taus.append(t)
-                assert seg.taus == tuple(reversed(taus)), (n, k_max, k, threads)
+        _, back = _sn_tables(CostCache.from_scores(x), k_max, min_seg)
+        segs = fit_all_candidates(x, CandidateSet(k_max), DetectorKind("sn", min_seg))
+        assert sorted(segs) == list(range(1, k_max + 1))
+        for k, seg in segs.items():
+            taus, t = [], n
+            for j in range(k, 0, -1):
+                t = int(back[j, t])
+                taus.append(t)
+            assert seg.taus == tuple(reversed(taus)), (n, k_max, k)
 
 
 @pytest.mark.parametrize("d_p", [1, 2, 6, 9])
-def test_sn_first_layer_is_costs_bitwise(d_p):
+def test_sn_first_layer_is_costs_bitwise(prune_always, d_p):
     # the DP table and _costs share one order of the coordinate sum
     from optics_cp.detectors import _sn_tables
 
@@ -294,7 +380,7 @@ def test_blocked_sn_tables_short_series():
             assert np.array_equal(cost, want[0]) and np.array_equal(back, want[1])
 
 
-def test_sn_tables_scratch_is_bounded(force_threads):
+def test_sn_tables_scratch_is_bounded():
     import tracemalloc
 
     from optics_cp import detectors
@@ -302,137 +388,26 @@ def test_sn_tables_scratch_is_bounded(force_threads):
 
     n, k_max = 8000, 8
     # the two returned tables, at most three scratch buffers of one budget
-    # whatever d_p is (serially two: C, which also takes each further
-    # coordinate's squares, and a temporary that takes the squared distances
-    # and then serves as the window; at T = 2 four of 2/3 of the rows: two C,
-    # the helper's temporary and the caller's window), the (n + 1) float
-    # lengths, and 256 KiB of transients: numpy's iterator buffers for a
-    # ufunc with broadcast inputs (8,192 elements for each of two operands,
-    # 128 KiB, in each thread) plus the per-block row vectors, the row
-    # indices and the row mask.  Sized per block without the budget (64 rows
-    # of 8,000), the buffers alone would take 12 MiB.
+    # whatever d_p is (two are used: C, which also takes each further
+    # coordinate's squares and, packed, the lengths, and a temporary that
+    # takes the squared distances and then serves as the window; the third
+    # holds the column indices and the pruning test's (layers, rows, groups)
+    # bound arrays, about 0.6 MB here), the (n + 1) float lengths, and
+    # 256 KiB of transients: numpy's iterator buffers for a ufunc with
+    # broadcast inputs (8,192 elements for each of two operands, 128 KiB)
+    # plus the per-block row vectors, the row indices and the row mask.
+    # Sized per block without the budget (64 rows of 8,000), the buffers
+    # alone would take 12 MiB.
     tables = 2 * (k_max + 1) * (n + 1) * 8
     bound = tables + 3 * detectors._SN_BLOCK_BYTES + (n + 1) * 8 + (256 << 10)
-    for threads, d_p in itertools.product((1, 2), (1, 6)):  # serial, then pipelined
-        force_threads(threads)
-        cache = CostCache.from_scores(np.random.default_rng(8).standard_normal((n, d_p)))
+    rng = np.random.default_rng(8)
+    for d_p, steps in itertools.product((1, 6), (False, True)):  # nothing pruned, then packed
+        x = _steps(n, d_p, 0.0, rng, every=1000) if steps else rng.standard_normal((n, d_p))
+        cache = CostCache.from_scores(x)
         tracemalloc.start()
         try:
             _sn_tables(cache, k_max, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < bound, (threads, d_p)
-
-
-# --- the two-thread table fill ----------------------------------------------------
-
-def _watch_pipeline(monkeypatch, hook):
-    """Run the real pipeline with its build and fill steps passed through
-    ``hook(stage, i)`` first; returns the steps finished, by stage."""
-    from optics_cp import detectors
-
-    real, done = detectors._pipeline, collections.Counter()
-
-    def pipeline(count, build, fill):
-        def watched(stage, step):
-            def run(i):
-                hook(stage, i)
-                step(i)
-                done[stage] += 1
-            return run
-        real(count, watched("build", build), watched("fill", fill))
-
-    monkeypatch.setattr(detectors, "_pipeline", pipeline)
-    return done
-
-
-def _one_row_blocks(monkeypatch, n, min_seg=5):
-    from optics_cp import detectors
-
-    monkeypatch.setattr(detectors, "_SN_BLOCK_BYTES", 8 * (n + 1 - min_seg))
-    return CostCache.from_scores(np.random.default_rng(3).standard_normal(n))
-
-
-@pytest.mark.parametrize("side", ["build", "fill"])
-def test_sn_pipeline_error_at_a_block_stops_both_threads(monkeypatch, force_threads, side):
-    # the helper's error at block 3, or the caller's interrupt: the other side
-    # stops after its current block, no thread is left and the count is restored
-    from optics_cp.detectors import _sn_tables
-
-    error = RuntimeError("block 3") if side == "build" else KeyboardInterrupt()
-
-    def hook(stage, i):
-        time.sleep(0.002)  # so that the two threads interleave
-        if stage == side and i == 3:
-            raise error
-
-    done = _watch_pipeline(monkeypatch, hook)
-    cache = _one_row_blocks(monkeypatch, 200)
-    force_threads(2)
-    threads_before, count_before = set(threading.enumerate()), blas_count()
-    with pytest.raises(type(error)) as info:
-        _sn_tables(cache, 3, 5)
-    assert info.value is error
-    assert set(threading.enumerate()) == threads_before
-    assert blas_count() == count_before
-    assert done["build"] <= 5 and done["fill"] <= 3  # of 196 blocks
-
-
-def test_sn_pipeline_interrupt_while_joining_waits_for_the_helper(monkeypatch, force_threads):
-    # a second Ctrl-C while the caller joins a helper still building a block:
-    # the caller keeps joining, then re-raises, as the bootstrap does
-    from optics_cp.detectors import _sn_tables
-
-    caller, building = threading.get_ident(), threading.Event()
-
-    def hook(stage, i):
-        if stage == "fill" and i == 2:
-            assert building.wait(10)
-            raise KeyboardInterrupt
-        if stage == "build" and i == 3:
-            building.set()
-            time.sleep(0.1)  # still busy when the caller joins
-
-    done = _watch_pipeline(monkeypatch, hook)
-    cache = _one_row_blocks(monkeypatch, 200)
-    force_threads(2)
-    real_join = threading.Thread.join
-    interrupted = []
-
-    def join(self, timeout=None):
-        if threading.get_ident() == caller and not interrupted:
-            interrupted.append(self.is_alive())
-            raise KeyboardInterrupt
-        return real_join(self, timeout)
-
-    monkeypatch.setattr(threading.Thread, "join", join)
-    threads_before, count_before = set(threading.enumerate()), blas_count()
-    with pytest.raises(KeyboardInterrupt):
-        _sn_tables(cache, 3, 5)
-    assert interrupted == [True]
-    assert set(threading.enumerate()) == threads_before
-    assert blas_count() == count_before
-    assert done == {"build": 4, "fill": 2}  # block 3 was finished, and no other begun
-
-
-def test_sn_pipeline_stress_with_short_switch_interval(monkeypatch, force_threads):
-    # one-row blocks handed over as often as the interpreter switches threads:
-    # a block filled before it is built, or built into a buffer still in use,
-    # moves an entry
-    import sys
-
-    from optics_cp.detectors import _sn_tables
-
-    cache = _one_row_blocks(monkeypatch, 300)
-    force_threads(1)
-    serial = _sn_tables(cache, 9, 5)
-    force_threads(2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            cost, back = _sn_tables(cache, 9, 5)
-            assert np.array_equal(cost, serial[0]) and np.array_equal(back, serial[1])
-    finally:
-        sys.setswitchinterval(interval)
+        assert peak < bound, (d_p, steps, peak)
