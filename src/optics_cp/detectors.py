@@ -65,10 +65,11 @@ class DetectorKind:
 class CostCache:
     """Prefix sums enabling O(1) segment SSE evaluation.
 
-    cum[t] is the coordinatewise sum of the first t score vectors and
-    cum_sq[t] the sum of their squared norms, so the SSE of the block
-    (a, b] is cum_sq[b] - cum_sq[a] - ||cum[b] - cum[a]||^2 / (b - a).
-    ``cum`` is column-major, so ``_sq_dist`` reads contiguous coordinates.
+    cum[t] is the coordinatewise sum of the first t score vectors less their mean,
+    so its rounding does not grow with a shift of the scores, and cum_sq[t] the sum
+    of their squared norms, least at t = n for this shift; the SSE of (a, b] is then
+    cum_sq[b] - cum_sq[a] - ||cum[b] - cum[a]||^2 / (b - a).  ``cum`` is column-major,
+    so ``_sq_dist`` reads contiguous coordinates.
     """
 
     cum: np.ndarray
@@ -83,6 +84,7 @@ class CostCache:
         cum = np.zeros((n + 1, d_p), order="F")
         cum_sq = np.zeros(n + 1)
         with np.errstate(over="ignore", invalid="ignore"):
+            arr = arr - arr.mean(axis=0) if n else arr
             np.cumsum(arr, axis=0, out=cum[1:])
             np.cumsum(np.sum(arr * arr, axis=1), out=cum_sq[1:])
             # by Cauchy-Schwarz a segment's ||cum[b] - cum[a]||^2 is at most
@@ -199,21 +201,20 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     # the last rows - 1 columns a block reaches lie past the last admissible
     # boundary of its earlier rows: row r may not use column q of them if q >= r
     mask = np.arange(most - 1)[None, :] >= ar[:, None]
-    floor = None  # per group: the least unclamped cost of (s, u], u its last column, or 0
+    reach = None  # per layer j and group: min of cost[j - 1, s] + C(s, u), u its last column
     if n >= _SN_PRUNE_FROM and k_max:
         s = every[: width // g * g]
-        with np.errstate(invalid="ignore"):  # s = u gives 0 / 0, which fmin skips
-            raw = _costs(cache, s, s | (g - 1), -np.inf).reshape(-1, g)
-        floor = np.fmin.reduce(raw, axis=1, initial=0.0)
-    groups = cost[:-1, : width // g * g].reshape(k_max, width // g, g)  # a view
-    least = np.full((k_max, width // g), np.inf)  # per group: its least cost[j - 1], once final
+        with np.errstate(invalid="ignore"):  # unclamped; s = u gives 0 / 0, taken as 0
+            raw = np.nan_to_num(_costs(cache, s, s | (g - 1), -np.inf), copy=False).reshape(-1, g)
+        groups = cost[:-1, : width // g * g].reshape(k_max, width // g, g)  # a view
+        reach = np.full((k_max, width // g), np.inf)
     pause, wait, rows, t0 = 0, 0, most, min_seg
     while t0 <= n:
         rows = min(most, n + 1 - t0, 2 * rows)  # the test's cost grows with its rows
         m, ng = t0 + rows - min_seg, (t0 - min_seg + 1) // g  # ng groups lie below the mask
         cols, starts = every[:m], [j * min_seg for j in range(1, k_max + 1)]
-        if floor is not None and ng and not pause:
-            live = _sn_live(cache, cost, back, every[t0 : t0 + rows], floor[:ng], least[:, :ng])
+        if reach is not None and ng and not pause:
+            live = _sn_live(cache, cost, back, every[t0 : t0 + rows], reach[:, :ng])
             keep = np.repeat(live.any(axis=0), g)
             keep[0] = True  # column 0 gives layer 0
             cols = np.concatenate((np.flatnonzero(keep), cols[ng * g :]))
@@ -254,14 +255,15 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
             idx = np.argmin(win, axis=1)
             cost[j, t0 + r0 : t1] = win[ar[: rows - r0], idx]
             back[j, t0 + r0 : t1] = cols[q + idx] if p < m else idx + q
-        if floor is not None:  # the groups this block completes
-            least[:, t0 // g : t1 // g] = groups[:, t0 // g : t1 // g].min(axis=2)
+        if reach is not None:  # the groups this block completes, cost[j - 1] final on them
+            done = np.s_[t0 // g : t1 // g]
+            reach[:, done] = np.add(groups[:, done], raw[done]).min(axis=2)
         t0 = t1
     return cost, back
 
 
 def _sn_live(cache: CostCache, cost: np.ndarray, back: np.ndarray, ts: np.ndarray,
-             floor: np.ndarray, least: np.ndarray) -> np.ndarray:
+             reach: np.ndarray) -> np.ndarray:
     """live[j - 1, i]: whether group i of ``_SN_GROUP`` columns may hold the
     first minimum of layer j's window at some end point of ``ts``.
 
@@ -273,26 +275,24 @@ def _sn_live(cache: CostCache, cost: np.ndarray, back: np.ndarray, ts: np.ndarra
     the other columns is the same, bit for bit.
 
     The bound.  Let C~(s, t) = Q[t] - Q[s] - ||S[t] - S[s]||^2 / (t - s),
-    exact on the stored prefix sums S = cum and Q = cum_sq.  For s < u < t,
-    a = u - s, b = t - u, x = S[u] - S[s] and y = S[t] - S[u], the Q terms
-    cancel: C~(s, t) - C~(s, u) - C~(u, t) = ab / (a + b) ||x/a - y/b||^2 >= 0.
-    Rounded sums need not make C~(s, u) >= 0, so ``floor`` holds each group's
-    least computed C~(s, u), u its last column, or 0.  A computed cost is
-    within e Q[t] of C~, e = (d_p + 5) eps: one rounding each of Q[t] - Q[s]
-    and of the difference, d_p + 3 of the squared distance over the length,
-    which is at most 2 Q[t] (Cauchy-Schwarz, while n eps << 1).  So each s of
-    a group ending at u has C(s, t) >= max(C(u, t) + floor - 3 e Q[t], 0), and
-    as rounding to nearest is monotone, its window entry is at least the
-    group's least cost[j - 1] plus that.  The slack, 6 (d_p + 7) eps Q of the
-    last row, covers twice 3 e Q[t] and the eps Q[t] of rounding LB itself.
+    exact on the stored prefix sums S = cum and Q = cum_sq, and C~(u, u) = 0.
+    For s < u < t, a = u - s, b = t - u, x = S[u] - S[s] and y = S[t] - S[u], the
+    Q terms cancel: C~(s, t) - C~(s, u) - C~(u, t) = ab / (a + b) ||x/a - y/b||^2.
+    A computed cost C is within e Q[t] of C~, e = (d_p + 5) eps: one rounding each of
+    Q[t] - Q[s] and of the difference, d_p + 3 of the squared distance over the length,
+    at most about Q[t] (Cauchy-Schwarz, while n eps << 1).  Rounded sums can make C
+    negative, so it is not clamped here.  With Q, of the last row, bounding all values,
+    each s of a group ending at u has C(s, t) >= C(s, u) + C(u, t) - 3 e Q.  ``reach``
+    rounds cost[j - 1, s] + C(s, u), the window cost[j - 1, s] + max(C(s, t), 0), and
+    LB = reach + (C(u, t) - slack) twice, each by eps Q at most.  So entries are at least
+    LB if slack >= (3 e + 4 eps) Q = (3 d_p + 19) eps Q; 6 (d_p + 7) eps Q is over twice.
     """
-    k_max, g, ng = len(cost) - 1, _SN_GROUP, len(floor)
+    k_max, g, ng = len(cost) - 1, _SN_GROUP, reach.shape[1]
     s = back[1:, ts[0] - 1]  # 0 where layer j has no entry yet: then UB is inf
     ub = _costs(cache, s[:, None], ts) + cost[np.arange(k_max), s][:, None]
     slack = 6 * (cache.d_p + 7) * np.finfo(float).eps * cache.cum_sq[ts[-1]]
-    ends = np.arange(g - 1, ng * g, g)
-    lb = np.maximum(_costs(cache, ends, ts[:, None]) + (floor - slack), 0.0)
-    return ~(least[:, None, :] + lb > ub[:, :, None]).all(axis=1)
+    lb = _costs(cache, np.arange(g - 1, ng * g, g), ts[:, None], -np.inf) - slack
+    return ~(reach[:, None, :] + lb > ub[:, :, None]).all(axis=1)
 
 
 def _sn_extract(back: np.ndarray, k: int, t: int) -> list[int]:

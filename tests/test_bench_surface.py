@@ -5,10 +5,14 @@ relies on fails here rather than in a traced benchmark replay."""
 
 import functools
 import importlib.util
+import json
 import re
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import optics_cp
 from optics_cp.cli import main
@@ -36,13 +40,32 @@ def test_every_package_name_the_benchmark_uses_exists():
     assert set(common.SIM_PRESETS) <= set(optics_cp.PRESETS)
 
 
+def _analyze(wl, i: int, root: Path) -> bytes:
+    """Pool entry i of ``wl`` through the command line, run in ``root``: the
+    output bytes.  The argv's paths are relative to the checkout root."""
+    csv_path, out_path = wl.paths(i)
+    (root / csv_path).parent.mkdir(parents=True, exist_ok=True)
+    (root / csv_path).write_text(wl.values(i)[0], encoding="utf-8")
+    assert main(wl.argv(i)) == 0, (wl.name, i)
+    return (root / out_path).read_bytes()
+
+
 def test_cli_accepts_the_benchmark_analyze_argv(tmp_path, monkeypatch):
     common = _bench_common()
-    monkeypatch.chdir(tmp_path)  # the argv's paths are relative to the checkout root
+    monkeypatch.chdir(tmp_path)
     for name in ("analyze_sn_16k", "analyze_bs_64k"):
-        wl = replace(common.WORKLOADS[name], n=400)
-        csv_path, out_path = wl.paths(0)
-        (tmp_path / csv_path).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / csv_path).write_text(wl.values(0)[0], encoding="utf-8")
-        assert main(wl.argv(0)) == 0, name
-        assert (tmp_path / out_path).read_bytes().startswith(b"{")
+        assert _analyze(replace(common.WORKLOADS[name], n=400), 0, tmp_path).startswith(b"{")
+
+
+def test_analyze_sn_16k_entries_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # two full-size pool entries through the command line, against the digests
+    # the benchmark checks every operation with; its files are only read
+    common = _bench_common()
+    numpy_version = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())["numpy"]
+    if np.__version__ != numpy_version:
+        pytest.skip(f"reference.json was recorded with numpy {numpy_version}")
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
+    wl = common.WORKLOADS["analyze_sn_16k"]
+    for i in (0, 1):
+        assert wl.digest(_analyze(wl, i, tmp_path)) == reference[wl.name][i], i

@@ -86,6 +86,23 @@ def test_analyze_thread_flag_does_not_change_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_analyze_confidence_set_does_not_move_with_a_shift_of_the_data(tmp_path):
+    # steps of +-3 every 300 points under unit noise, shifted by up to 1e8
+    rng = np.random.default_rng(0)
+    y = 3.0 * (-1.0) ** (np.arange(1200) // 300) + rng.standard_normal(1200)
+    found = {}
+    for offset in (0.0, 1e4, 1e8):
+        csv, out = tmp_path / f"{offset:g}.csv", tmp_path / f"{offset:g}.json"
+        np.savetxt(csv, y + offset)
+        assert main(["analyze", "--input", str(csv), "--detector", "sn", "--kmax", "5",
+                     "--B", "100", "--seed", "1", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        found[offset] = (doc["confidence_set"]["members"],
+                         [c["taus"] for c in doc["candidates"]])
+    assert found[0.0][0] == [3, 4, 5]
+    assert found[1e4] == found[0.0] and found[1e8] == found[0.0]
+
+
 def test_analyze_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,notanumber\n")

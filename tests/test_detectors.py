@@ -228,6 +228,17 @@ def _steps(n, d_p, offset, rng, every=150):
     return offset + level[:, None] + rng.standard_normal((n, d_p))
 
 
+def _uncentered(x):
+    """A CostCache on the prefix sums of ``x`` itself, not of ``x`` less its
+    mean: at a large offset their rounding makes segment costs negative."""
+    arr = np.asarray(x, dtype=float).reshape(len(x), -1)
+    n, d_p = arr.shape
+    cum, cum_sq = np.zeros((n + 1, d_p), order="F"), np.zeros(n + 1)
+    np.cumsum(arr, axis=0, out=cum[1:])
+    np.cumsum(np.sum(arr * arr, axis=1), out=cum_sq[1:])
+    return CostCache(cum=cum, cum_sq=cum_sq, n=n, d_p=d_p)
+
+
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
 @pytest.mark.parametrize("d_p", [1, 2, 6, 9])
 @pytest.mark.parametrize("min_seg", [2, 5, 20])
@@ -252,15 +263,15 @@ def test_blocked_sn_tables_match_per_t_reference(monkeypatch, prune_always, kind
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
 @pytest.mark.parametrize("d_p", [1, 6])
 def test_pruned_sn_tables_match_per_t_reference_on_steps(monkeypatch, prune_always, offset, d_p):
-    # steps prune most columns; at a large offset the segment costs are mostly
-    # rounding of the prefix sums, which the bound's slack and floor must cover
+    # steps prune most columns; at a large offset the segment costs on uncentered
+    # sums are mostly their rounding, which the bound's slack must cover
     from optics_cp import detectors
     from optics_cp.detectors import _sn_tables
 
     rng = np.random.default_rng([d_p, int(offset) % 1000])
     for n, k_max, min_seg, every in ((900, 9, 5, 150), (800, 6, 2, 150), (1100, 7, 20, 250),
                                      (1300, 4, 70, 300)):
-        cache = CostCache.from_scores(_steps(n, d_p, offset, rng, every))
+        cache = _uncentered(_steps(n, d_p, offset, rng, every))
         want = _sn_tables_per_t(cache, k_max, min_seg)
         # the default budget, 7 rows and one row per block; at most 64, 7 or 1 rows
         for rows, most in itertools.product((None, 7, 1), (64, 7, 1)):
@@ -274,7 +285,8 @@ def test_pruned_sn_tables_match_per_t_reference_on_steps(monkeypatch, prune_alwa
 
 def test_sn_tables_prune_most_cells_of_steps(monkeypatch):
     # at the default crossover and pause: a bound that never fires, or a test
-    # that never runs, would keep every window cell
+    # that never runs, would keep every window cell, and a group's least
+    # cost[j - 1] plus its least C(s, u) in place of their least sum keeps 29%
     from optics_cp import detectors
     from optics_cp.detectors import _sn_tables
 
@@ -295,39 +307,55 @@ def test_sn_tables_prune_most_cells_of_steps(monkeypatch):
     monkeypatch.undo()
     admissible = sum(t - (j + 1) * min_seg + 1 for j in range(1, k_max + 1)
                      for t in range((j + 1) * min_seg, n + 1))
-    assert sum(cells) < 0.5 * admissible
+    assert sum(cells) < 0.25 * admissible
     want = _sn_tables_per_t(cache, k_max, min_seg)
     assert np.array_equal(cost, want[0]) and np.array_equal(back, want[1])
 
 
-def test_sn_pruning_bound_holds_where_rounded_prefix_sums_break_monotonicity(
-        monkeypatch, prune_always):
-    # a constant run of this value rounds its prefix sums so that the stored
-    # sums make the cost of some (s, u] inside a group of columns below
-    # minus 1.5 times the slack.  With cost[j - 1] = 0 each window entry is
-    # C(s, t), and the group of the entry UB is taken at can never be dead,
-    # under the floors the table fill passes to the test
-    from optics_cp import detectors
-    from optics_cp.detectors import _SN_GROUP, _sn_live, _sn_tables
+def test_sn_pruning_bound_holds_where_rounded_prefix_sums_break_monotonicity():
+    # uncentered, a constant run of this value rounds its prefix sums so that
+    # the stored sums make the cost of some (s, u] inside a group of columns,
+    # u its last, below minus 1.5 times the slack.  With cost[j - 1] = 0 each
+    # window entry is max(C(s, t), 0), each group's reach is its least C(s, u),
+    # and the group of the entry UB is taken at can never be dead
+    from optics_cp.detectors import _SN_GROUP, _sn_live
 
     x = np.full(2283, 147353655.86465922)
     x[1983:] += np.random.default_rng(1).standard_normal(300) * 120
-    cache = CostCache.from_scores(x)
+    cache = _uncentered(x)
     n, k_max, g = len(x), 2, _SN_GROUP
-    floors = []
-    monkeypatch.setattr(detectors, "_SN_PRUNE_PAUSE", 0)
-    monkeypatch.setattr(detectors, "_sn_live", lambda *a: floors.append(a[4]) or _sn_live(*a))
-    _sn_tables(cache, k_max, 5)
-    floor = floors[-1]
-    assert floor.min() < -1.5 * 6 * 8 * np.finfo(float).eps * cache.cum_sq[1983]
+    cols = np.arange((n - 4) // g * g)
+    with np.errstate(invalid="ignore"):  # s = u gives 0 / 0, C(u, u) = 0
+        raw = np.nan_to_num(_costs(cache, cols, cols | (g - 1), -np.inf)).reshape(-1, g)
+    reach = np.tile(raw.min(axis=1), (k_max, 1))
+    assert reach.min() < -1.5 * 6 * 8 * np.finfo(float).eps * cache.cum_sq[1983]
     cost, back = np.zeros((k_max + 1, n + 1)), np.zeros((k_max + 1, n + 1), dtype=np.int64)
     for t0 in (2000, 2100, 2200):
         ng = (t0 - 4) // g
         for s in range(0, ng * g, 7):
             back[1:, t0 - 1] = s
-            live = _sn_live(cache, cost, back, np.arange(t0, t0 + 64), floor[:ng],
-                            np.zeros((k_max, ng)))
+            live = _sn_live(cache, cost, back, np.arange(t0, t0 + 64), reach[:, :ng])
             assert live[:, s // g].all(), (t0, s)
+
+
+def test_sn_pruning_bound_does_not_clamp_the_cost_from_a_groups_last_column():
+    # the bound holds on any stored sums, so also where C(u, t) < 0, as rounded
+    # sums can make it.  With S[k] = c k a line and Q[k] = c^2 k + q[k], each
+    # C(s, t) is q[t] - q[s], exactly: q rises by 1 up to u = 63, the last column
+    # of group 0, and falls by 1,000 after it.  So for t > u every window entry
+    # of the group is cost[0, s] + max(C(s, t), 0) = cost[0, s], UB = 0 is one,
+    # and reach = 1, at s = u - 1.  A clamped C(u, t) would make the bound 1 > UB
+    from optics_cp.detectors import _sn_live
+
+    n, c, u = 200, 1000.0, 63
+    k = np.arange(n + 1.0)
+    cum_sq = c * c * k + np.where(k <= u, k, u - 1000.0)
+    cache = CostCache(cum=(c * k)[:, None], cum_sq=cum_sq, n=n, d_p=1)
+    ts = np.arange(140, 150)
+    assert _costs(cache, u - 1, u) == 1.0 and _costs(cache, u, ts, -np.inf).max() == -1000.0
+    cost, back = np.zeros((2, n + 1)), np.zeros((2, n + 1), dtype=np.int64)
+    cost[0, u], back[1, ts[0] - 1] = 10.0, 10
+    assert _sn_live(cache, cost, back, ts, np.array([[1.0]]))[0, 0]
 
 
 @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
@@ -411,3 +439,17 @@ def test_sn_tables_scratch_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < bound, (d_p, steps, peak)
+
+
+@pytest.mark.parametrize("d_p", [1, 6])
+def test_segmentations_do_not_move_with_a_shift_of_the_scores(prune_always, d_p):
+    # the costs' prefix sums are of the scores less their mean, so a shift
+    # by 1e8 rounds the data by about 1e-8 and leaves the segmentations alone
+    x = _steps(1200, d_p, 0.0, np.random.default_rng([d_p, 3]), every=300)
+    for kind in ("sn", "bs"):
+        want = fit_all_candidates(x, CandidateSet(5), DetectorKind(kind))
+        assert want[3].taus == (300, 600, 900), kind
+        for offset in (1e4, 1e8):
+            got = fit_all_candidates(x + offset, CandidateSet(5), DetectorKind(kind))
+            assert {k: seg.taus for k, seg in got.items()} == \
+                {k: seg.taus for k, seg in want.items()}, (kind, offset)
