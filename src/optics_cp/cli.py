@@ -8,7 +8,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -195,24 +195,13 @@ def _run_analyze(args) -> int:
     seed = _resolve_seed(args.seed)
     L, huber = _parse_variant(args.variant)
     kind = DetectorKind(args.detector, args.min_seg)
-    k_max = args.kmax if args.kmax is not None else default_k_max(n_rows)
-    cfg = BootstrapConfig(b_reps=args.B, seed=seed)
+    k_max = args.k_max if args.k_max is not None else default_k_max(n_rows)
+    cfg = BootstrapConfig(b_reps=args.b_reps, seed=seed)
     cs, table = optics(ts, model, kind, CandidateSet(k_max), args.alpha, cfg,
                        covariates=covariates, L=L, huber=huber)
 
-    config_echo = {
-        "command": "analyze",
-        "input": args.input,
-        "model": args.model,
-        "detector": args.detector,
-        "alpha": args.alpha,
-        "b_reps": args.B,
-        "k_max": k_max,
-        "min_seg": args.min_seg,
-        "variant": args.variant,
-        "seed": seed,
-        "format": args.format,
-    }
+    config_echo = {**vars(args), "seed": seed, "k_max": k_max}
+    del config_echo["threads"], config_echo["output"]
     candidates = []
     for i, k in enumerate(table.candidates):
         taus = list(table.segmentations[i].taus)
@@ -251,125 +240,107 @@ def _run_analyze(args) -> int:
     return EXIT_OK
 
 
-def _default_simulate_config() -> dict:
-    return {
-        "command": "simulate",
-        "preset": None,
-        "method": "optics",
-        "detector": "sn",
-        "alpha": 0.1,
-        "b_reps": 500,
-        "runs": 100,
-        "seed": 0,
-        "k_max": None,
-        "min_seg": 5,
-        "ms_l": 2,
-        "huber_kappa": 1.5,
-    }
+@dataclass
+class _Simulate:
+    """The settings of a simulate run.  A preset or a spec file fills them,
+    the flags override them, and ``asdict`` of them is the output's config."""
+
+    generator: dict
+    command: str = "simulate"
+    preset: str | None = None
+    method: str = "optics"
+    detector: str = "sn"
+    alpha: float = 0.1
+    b_reps: int = 500
+    runs: int = 100
+    seed: int = 0
+    k_max: int | None = None
+    min_seg: int = 5
+    ms_l: int = 2
+    huber_kappa: float = 1.5
 
 
 def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-# spec-file value checks by type name; generator fields use GeneratorSpec's types
+# spec-file value checks by the type names of _Simulate's and GeneratorSpec's fields
 _TYPE_CHECKS = {
     "str": lambda val: isinstance(val, str),
+    "str | None": lambda val: val is None or isinstance(val, str),
     "int": _is_int,
     "int | None": lambda val: val is None or _is_int(val),
     "float": lambda val: _is_int(val) or isinstance(val, float),
     "tuple[int, ...]": lambda val: isinstance(val, list) and all(map(_is_int, val)),
-}
-_SPEC_TYPES = {
-    "method": "str", "detector": "str", "alpha": "float", "huber_kappa": "float",
-    "b_reps": "int", "runs": "int", "seed": "int", "min_seg": "int", "ms_l": "int",
-    "k_max": "int | None",
+    "dict": lambda val: isinstance(val, dict),
 }
 
 
-def _check_spec(path: str, loaded) -> dict:
-    """The config object of a loaded spec file, with its value types checked."""
+def _check_fields(path: str, obj: dict, cls, where: str = "") -> None:
+    """Refuse a key of ``obj`` that is no field of ``cls``, or a value not of its type."""
+    types = {f.name: f.type for f in fields(cls)}
+    for key, val in obj.items():
+        if key not in types:
+            raise ParseError(f"spec file {path}: unknown {where}field {key!r}")
+        if not _TYPE_CHECKS[types[key]](val):
+            raise ParseError(f"spec file {path}: {where}{key!r} must be {types[key]}, got {val!r}")
+
+
+def _read_spec(path: str) -> _Simulate:
+    """The settings of a spec file: a settings object, or a summary holding one as ``config``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot parse spec file {path}: {exc}") from None
     config = loaded.get("config", loaded) if isinstance(loaded, dict) else None
     if not isinstance(config, dict):
         raise ParseError(f"spec file {path} must hold a JSON object")
-    gen = config.get("generator")
-    if not isinstance(gen, dict):
+    if not isinstance(config.get("generator"), dict):
         raise ParseError(f"spec file {path} lacks a 'generator' object")
-    gen_types = {f.name: f.type for f in fields(GeneratorSpec)}
-    for key in gen:
-        if key not in gen_types:
-            raise ParseError(f"spec file {path}: unknown generator field {key!r}")
-    for where, obj, types in (("", config, _SPEC_TYPES), ("generator ", gen, gen_types)):
-        for key, type_name in types.items():
-            if key in obj and not _TYPE_CHECKS[type_name](obj[key]):
-                raise ParseError(
-                    f"spec file {path}: {where}{key!r} must be {type_name}, got {obj[key]!r}"
-                )
-    return config
-
-
-def _simulate_config(args) -> dict:
-    if args.spec is not None:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot parse spec file {args.spec}: {exc}") from None
-        return {**_default_simulate_config(), **_check_spec(args.spec, loaded)}
-
-    if args.preset not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
-        )
-    preset = PRESETS[args.preset]
-    config = _default_simulate_config()
-    config.update(
-        preset=args.preset,
-        method=preset["method"],
-        min_seg=preset["min_seg"],
-        generator=asdict(preset["spec"]),
-    )
-    return config
-
-
-def _apply_overrides(config: dict, args) -> dict:
-    gen = dict(config["generator"])
-    if args.amplitude is not None:
-        gen["amplitude"] = args.amplitude
-    if args.mdep is not None:
-        gen["m_dep"] = args.mdep
-    config = dict(config, generator=gen)
-    for key, val in [
-        ("detector", args.detector), ("alpha", args.alpha), ("b_reps", args.B),
-        ("runs", args.runs), ("seed", args.seed), ("k_max", args.kmax),
-        ("min_seg", args.min_seg), ("ms_l", args.ms_l),
-    ]:
-        if val is not None:
-            config[key] = val
-    return config
+    _check_fields(path, config["generator"], GeneratorSpec, "generator ")
+    _check_fields(path, config, _Simulate)
+    if config.get("command", "simulate") != "simulate":
+        raise ParseError(f"spec file {path}: 'command' must be 'simulate', got {config['command']!r}")
+    return _Simulate(**config)
 
 
 def _run_simulate(args) -> int:
-    config = _apply_overrides(_simulate_config(args), args)
-    if config["ms_l"] < 1:
-        raise ConfigError(f"--ms-l must be >= 1, got {config['ms_l']}")
-    spec = GeneratorSpec(**config["generator"])
-    detector = DetectorKind(config["detector"], config["min_seg"])
+    if args.spec is not None:
+        settings = _read_spec(args.spec)
+    elif args.preset in PRESETS:
+        preset = PRESETS[args.preset]
+        settings = _Simulate(generator=asdict(preset["spec"]), preset=args.preset,
+                             method=preset["method"], min_seg=preset["min_seg"])
+    else:
+        raise ConfigError(
+            f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
+        )
+    for f in fields(settings):
+        val = getattr(args, f.name, None)
+        if val is not None and f.name != "preset":  # --spec outranks --preset
+            setattr(settings, f.name, val)
+    if args.amplitude is not None:
+        settings.generator["amplitude"] = args.amplitude
+    if args.mdep is not None:
+        settings.generator["m_dep"] = args.mdep
+    if settings.ms_l < 1:
+        raise ConfigError(f"--ms-l must be >= 1, got {settings.ms_l}")
     report = run_experiment(
-        spec,
-        method=config["method"],
-        detector=detector,
-        alpha=config["alpha"],
-        b_reps=config["b_reps"],
-        runs=config["runs"],
-        seed=config["seed"],
-        k_max=config["k_max"],
-        ms_l=config["ms_l"],
-        huber=HuberConfig(kappa=config["huber_kappa"]),
+        GeneratorSpec(**settings.generator),
+        method=settings.method,
+        detector=DetectorKind(settings.detector, settings.min_seg),
+        alpha=settings.alpha,
+        b_reps=settings.b_reps,
+        runs=settings.runs,
+        seed=settings.seed,
+        k_max=settings.k_max,
+        ms_l=settings.ms_l,
+        huber=HuberConfig(kappa=settings.huber_kappa),
         threads=args.threads,
     )
-    config["k_max"] = report.k_max
-    summary = {"schema": SCHEMA, "config": config, "results": report.summary()}
+    settings.k_max = report.k_max
+    summary = {"schema": SCHEMA, "config": asdict(settings), "results": report.summary()}
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
     if args.output == "-":
@@ -397,8 +368,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--model", default=MEAN, help=f"model family: {', '.join(FAMILIES)}")
     pa.add_argument("--detector", default="sn", help="bs or sn")
     pa.add_argument("--alpha", type=float, default=0.1)
-    pa.add_argument("--B", type=int, default=500, help="bootstrap replicates")
-    pa.add_argument("--kmax", type=int, default=None, help="largest candidate count")
+    pa.add_argument("--B", dest="b_reps", metavar="B", type=int, default=500,
+                    help="bootstrap replicates")
+    pa.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, default=None,
+                    help="largest candidate count")
     pa.add_argument("--variant", default="plain", help="plain, ms:L, huber:kappa, or mdep:m")
     pa.add_argument("--seed", type=int, default=None, help="falls back to OPTICS_SEED, then 0")
     pa.add_argument("--min-seg", dest="min_seg", type=int, default=5)
@@ -414,8 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--runs", type=int, default=None)
     ps.add_argument("--detector", default=None)
     ps.add_argument("--alpha", type=float, default=None)
-    ps.add_argument("--B", type=int, default=None)
-    ps.add_argument("--kmax", type=int, default=None)
+    ps.add_argument("--B", dest="b_reps", metavar="B", type=int, default=None)
+    ps.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, default=None)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--min-seg", dest="min_seg", type=int, default=None)
     ps.add_argument("--ms-l", dest="ms_l", type=int, default=None)

@@ -71,8 +71,7 @@ def huber_loss(u, kappa: float):
 
     Scalars map to floats; vectors are summed over coordinates.
     """
-    if kappa <= 0:
-        raise ConfigError(f"kappa must be positive, got {kappa}")
+    HuberConfig(kappa=kappa)  # refuses a kappa that is not finite and positive
     arr = np.asarray(u, dtype=np.float64)
     vals = _huber_elem(arr, kappa)
     if arr.ndim == 0:

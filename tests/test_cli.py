@@ -391,6 +391,14 @@ def test_simulate_minimal_spec_file(tmp_path):
     assert main(["simulate", "--spec", str(spec_file), "--output", str(prefix)]) == 0
     summary = json.loads((tmp_path / "mini_out.json").read_text())
     assert summary["results"]["runs"] == 2
+    # the echo: the defaults, the generator as given, and k_max resolved for n_total 200
+    assert summary["config"] == {
+        "command": "simulate", "preset": None, "method": "optics", "detector": "sn",
+        "alpha": 0.1, "b_reps": 60, "runs": 2, "seed": 0, "k_max": 4, "min_seg": 5,
+        "ms_l": 2, "huber_kappa": 1.5,
+        "generator": {"design": "mean", "amplitude": 2.0, "n_total": 200,
+                      "taus_star": [100]},
+    }
 
 
 def test_simulate_spec_file_without_generator_exit_2(tmp_path):
@@ -409,7 +417,10 @@ _GENERATOR = {"design": "mean", "amplitude": 2.0, "n_total": 200, "taus_star": [
     {"generator": _GENERATOR, "ms_l": None},
     {"generator": _GENERATOR, "runs": "2"},
     {"generator": dict(_GENERATOR, colour="red")},
-], ids=["top_level_array", "ms_l_null", "runs_string", "unknown_generator_key"])
+    {"generator": _GENERATOR, "bogus": [1, 2]},
+    {"generator": _GENERATOR, "command": "analyze"},
+], ids=["top_level_array", "ms_l_null", "runs_string", "unknown_generator_key",
+        "unknown_top_level_key", "command_not_simulate"])
 def test_simulate_badly_typed_spec_file_exit_2(tmp_path, capsys, spec):
     spec_file = tmp_path / "bad.json"
     spec_file.write_text(json.dumps(spec))

@@ -201,6 +201,9 @@ def test_huber_config_validation():
         HuberConfig(kappa=0.0)
     with pytest.raises(ValueError):
         HuberConfig(kappa=float("inf"))
+    for kappa in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa must be finite and positive"):
+            huber_loss(1.0, kappa)
 
 
 def test_high_order_split_still_runs():
