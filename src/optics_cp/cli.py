@@ -302,7 +302,21 @@ def _read_spec(path: str) -> _Simulate:
     _check_fields(path, config, _Simulate)
     if config.get("command", "simulate") != "simulate":
         raise ParseError(f"spec file {path}: 'command' must be 'simulate', got {config['command']!r}")
-    return _Simulate(**config)
+    settings = _Simulate(**config)
+    if settings.preset is not None and settings.preset not in PRESETS:
+        raise ParseError(f"spec file {path}: unknown preset {settings.preset!r}")
+    if settings.preset is not None and (key := _off_preset(settings)):
+        raise ParseError(f"spec file {path}: {key!r} differs from preset {settings.preset!r}")
+    return settings
+
+
+def _off_preset(settings: _Simulate) -> str | None:
+    """The first of generator, method and min_seg that differs from the preset's, or None."""
+    preset = PRESETS[settings.preset]
+    pairs = {"generator": (GeneratorSpec(**settings.generator), preset["spec"]),
+             "method": (settings.method, preset["method"]),
+             "min_seg": (settings.min_seg, preset["min_seg"])}
+    return next((key for key, (ours, theirs) in pairs.items() if ours != theirs), None)
 
 
 def _run_simulate(args) -> int:
@@ -325,7 +339,10 @@ def _run_simulate(args) -> int:
     if args.mdep is not None:
         settings.generator["m_dep"] = args.mdep
     if settings.ms_l < 1:
-        raise ConfigError(f"--ms-l must be >= 1, got {settings.ms_l}")
+        where = "--ms-l" if args.ms_l is not None else f"spec file {args.spec}: 'ms_l'"
+        raise ConfigError(f"{where} must be >= 1, got {settings.ms_l}")
+    if settings.preset is not None and _off_preset(settings):
+        settings.preset = None  # the flags changed the preset's design
     report = run_experiment(
         GeneratorSpec(**settings.generator),
         method=settings.method,

@@ -18,21 +18,20 @@ max statistic T_K = max_J sqrt(n) * mean(xi) / rms(xi) is large relative
 to its Gaussian multiplier bootstrap distribution.  The confidence set
 collects every candidate whose bootstrap p-value exceeds alpha.
 
-Numerical determinism: the studentized ratios xi/rms(xi) are snapped to
-a fixed 2^-13 grid before entering the statistic, which makes T_K and
-the bootstrap p-values exactly invariant when all scores are rescaled
-by a positive constant.  Multipliers for replicate b come from a Philox
-counter stream keyed by (seed, b), so they are the same however the
-replicates are grouped: the bootstrap draws them in fixed-size chunks of
-replicates, each thread from its own generator re-keyed per replicate.
+The studentized rows xi_KJ / rms(xi_KJ) are built once per unordered pair
+of candidates, since the row of (J, K) is that of (K, J) reversed; each
+candidate gathers its rival rows with a sign, a reversed value written
+0.0 - x so that a zero stays +0.0, as the per-candidate chain gives it.
 
-Threads: the bootstrap pins numpy's OpenBLAS to one thread and spends the
-T threads it had on chunks instead (``blas.run``, each thread started on
-its own CPU): the caller and up to T - 1 helpers, as far as 16 MiB of chunk
-buffers allow, each draw a chunk's multipliers and multiply them on one
-BLAS thread.  Every chunk has the same shape at any T, so the p-values do
-not depend on T or on ``OPENBLAS_NUM_THREADS``; they can still depend on
-the BLAS build and the chunk size, through the last bits of the GEMM.
+Numerical determinism: the studentized ratios are snapped to a fixed
+2^-13 grid, which makes T_K and the bootstrap p-values exactly invariant
+when all scores are rescaled by a positive constant.  Multipliers for
+replicate b come from a Philox counter stream keyed by (seed, b).  The
+bootstrap pins numpy's OpenBLAS to one thread and shares chunks of
+replicates out over the T threads it had (``blas.run``); every chunk has
+one shape at any T, so the p-values depend neither on T nor on
+``OPENBLAS_NUM_THREADS``.  They can still depend on the BLAS build and
+the chunk size, through the last bits of the GEMM.
 """
 
 from __future__ import annotations
@@ -242,14 +241,20 @@ def test_statistic(xm: XiMatrix) -> float:
     return float(rows.max())
 
 
-def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int) -> np.ndarray:
+def _signed(rows: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """The rows at ``gather``; index p + len(rows) takes row p reversed."""
+    return np.concatenate((rows, np.subtract(0.0, rows)))[gather]
+
+
+def _bootstrap(stud: np.ndarray, gather: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig,
+               n: int) -> np.ndarray:
     """Bootstrap p-values of len(t_obs) candidates at once.
 
-    ``stud`` stacks the studentized rival rows of every candidate, candidate
-    g owning an equal block of consecutive rows.  Replicates run in chunks:
-    one GEMM per chunk over all rows, then the max over each block.  The
-    chunks are shared out over threads, and an error in any thread stops
-    the others after their current chunk and is raised here.
+    ``stud`` holds studentized rows, and row g of ``gather`` indexes candidate
+    g's rival rows among them, signed as in ``_signed``.  Replicates run in
+    chunks: one GEMM per chunk over all rows, then each candidate's max over
+    its gathered rows.  The chunks are shared out over threads, and an error
+    in any thread stops the others after their current chunk and is raised here.
     """
     if cfg.injected is not None and cfg.injected.shape[1] != n:
         raise ConfigError(f"injected multipliers have length {cfg.injected.shape[1]}, expected {n}")
@@ -286,7 +291,7 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
                     key[1] = lo + j
                     bitgen.state = state
                     gen.standard_normal(out=buf_rows[j])
-            t_sharp = ((stud @ mult.T) / math.sqrt(n)).reshape(len(t_obs), -1, c).max(axis=1)
+            t_sharp = _signed((stud @ mult.T) / math.sqrt(n), gather).max(axis=1)
             counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
         results.append(counts)
 
@@ -303,7 +308,8 @@ def _bootstrap(stud: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int
 def bootstrap_pvalue(xm: XiMatrix, cfg: BootstrapConfig) -> float:
     """Share of multiplier replicates whose statistic strictly exceeds the
     observed one.  Deterministic given the seed."""
-    return float(_bootstrap(xm.studentized, np.array([test_statistic(xm)]), cfg, xm.n)[0])
+    gather = np.arange(len(xm.rivals))[None, :]
+    return float(_bootstrap(xm.studentized, gather, np.array([test_statistic(xm)]), cfg, xm.n)[0])
 
 
 def confidence_set(table: PValueTable, alpha: float) -> ConfidenceSet:
@@ -344,19 +350,26 @@ def run_on_scores(
         fits[i] = _fit_rows(odd, even, segs[k], row_fit)
     crit = fits.mean(axis=1)
 
-    # the studentized rival rows of every candidate, stacked: candidate i
-    # owns rows i*(K-1) .. (i+1)*(K-1) - 1, one per rival in candidate order
-    stud = np.empty((n_cand * r, n))
+    # one studentized row per pair of candidates i < j, in (i, j) order; row i
+    # of ``gather`` holds the ``_signed`` indices of candidate i's rival rows
+    pairs = n_cand * r // 2
+    index = np.zeros((n_cand, n_cand), dtype=np.intp)
+    index[np.triu_indices(n_cand, 1)] = np.arange(pairs)
+    index += np.tril(index.T + pairs, -1)  # (j, i) is (i, j) reversed
+    off = ~np.eye(n_cand, dtype=bool)
+    gather = index[off].reshape(n_cand, r)
+    stud = np.empty((pairs, n))
+    delta_pairs = np.empty(pairs)
+    for i, k in enumerate(candidates[:-1]):
+        rows = slice(gather[i, i], gather[i, -1] + 1)  # its pairs with the later candidates
+        xm = _xi_from_fits(k, candidates[i + 1 :], fits[i], fits[i + 1 :], out=stud[rows])
+        delta_pairs[rows] = xm.delta_hat
     delta = np.zeros((n_cand, n_cand))
-    for i, k in enumerate(candidates):
-        others = [j for j in range(n_cand) if j != i]
-        rivals = tuple(candidates[j] for j in others)
-        xm = _xi_from_fits(k, rivals, fits[i], fits[others], out=stud[i * r : (i + 1) * r])
-        delta[i, others] = xm.delta_hat
+    delta[off] = _signed(delta_pairs, gather).ravel()
 
     # with no rivals the statistic is 0 by convention, as in test_statistic
-    t_stat = (stud.sum(axis=1) / math.sqrt(n)).reshape(n_cand, r).max(axis=1) if r else np.zeros(1)
-    p_hat = _bootstrap(stud, t_stat, cfg, n)
+    t_stat = _signed(stud.sum(axis=1) / math.sqrt(n), gather).max(axis=1) if r else np.zeros(1)
+    p_hat = _bootstrap(stud, gather, t_stat, cfg, n)
 
     table = PValueTable(
         candidates=candidates,

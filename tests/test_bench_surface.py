@@ -57,15 +57,27 @@ def test_cli_accepts_the_benchmark_analyze_argv(tmp_path, monkeypatch):
         assert _analyze(replace(common.WORKLOADS[name], n=400), 0, tmp_path).startswith(b"{")
 
 
-def test_analyze_sn_16k_entries_match_the_benchmark_reference(tmp_path, monkeypatch):
-    # two full-size pool entries through the command line, against the digests
-    # the benchmark checks every operation with; its files are only read
+def _match_reference(name: str, root: Path) -> None:
+    """Two full-size pool entries of workload ``name`` through the command line,
+    against the digests the benchmark checks every operation with; its files
+    are only read."""
     common = _bench_common()
     numpy_version = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())["numpy"]
     if np.__version__ != numpy_version:
         pytest.skip(f"reference.json was recorded with numpy {numpy_version}")
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
-    monkeypatch.chdir(tmp_path)
-    wl = common.WORKLOADS["analyze_sn_16k"]
+    wl = common.WORKLOADS[name]
     for i in (0, 1):
-        assert wl.digest(_analyze(wl, i, tmp_path)) == reference[wl.name][i], i
+        assert wl.digest(_analyze(wl, i, root)) == reference[wl.name][i], i
+
+
+def test_analyze_sn_16k_entries_match_the_benchmark_reference(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _match_reference("analyze_sn_16k", tmp_path)
+
+
+def test_analyze_bs_64k_entries_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # the bootstrap's pair rows, gathered with a sign, against p-values the
+    # benchmark recorded before; 64,000 rows, so K = 10 candidates
+    monkeypatch.chdir(tmp_path)
+    _match_reference("analyze_bs_64k", tmp_path)

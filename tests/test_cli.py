@@ -132,7 +132,15 @@ def test_threads_below_one_exit_3(capsys, command, threads):
 def test_simulate_ms_l_zero_exit_3(capsys):
     assert main(["simulate", "--preset", "vary_n", "--runs", "1", "--ms-l", "0",
                  "--output", "-"]) == 3
-    assert "--ms-l" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --ms-l must be >= 1, got 0\n"
+
+
+def test_simulate_spec_file_ms_l_zero_names_the_file_exit_3(tmp_path, capsys):
+    # no --ms-l was given, so the error names the file's field, not the flag
+    spec_file = tmp_path / "ms.json"
+    spec_file.write_text(json.dumps({"generator": {"design": "mean"}, "ms_l": 0}))
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 3
+    assert capsys.readouterr().err == f"error: spec file {spec_file}: 'ms_l' must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "\u00a01.5"])
@@ -426,6 +434,43 @@ def test_simulate_badly_typed_spec_file_exit_2(tmp_path, capsys, spec):
     spec_file.write_text(json.dumps(spec))
     assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"generator": _GENERATOR, "preset": "tab7"}, "'generator' differs from preset 'tab7'"),
+    ({"generator": {"design": "mean"}, "preset": "tab1", "method": "ms"},
+     "'method' differs from preset 'tab1'"),
+    ({"generator": {"design": "mean"}, "preset": "tab1", "min_seg": 6},
+     "'min_seg' differs from preset 'tab1'"),
+    ({"generator": {"design": "mean"}, "preset": "tab99"}, "unknown preset 'tab99'"),
+], ids=["generator", "method", "min_seg", "unknown"])
+def test_simulate_spec_file_off_its_preset_exit_2(tmp_path, capsys, spec, message):
+    # a preset the file names must be the design it runs, or the echo would misname it
+    spec_file = tmp_path / "preset.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 2
+    assert capsys.readouterr().err == f"error: spec file {spec_file}: {message}\n"
+
+
+def test_simulate_spec_file_matching_its_preset_runs(tmp_path, capsys):
+    # omitted fields take the defaults, which here are tab1's
+    spec_file = tmp_path / "tab1.json"
+    spec_file.write_text(json.dumps({"generator": {"design": "mean", "amplitude": 1},
+                                     "preset": "tab1", "runs": 1, "b_reps": 20}))
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["preset"] == "tab1"
+
+
+def test_simulate_flags_that_change_a_preset_drop_it_from_the_echo(tmp_path):
+    # the summary names no preset whose design it did not run, so it reads back as a spec file
+    prefix = tmp_path / "first"
+    assert main(["simulate", "--preset", "tab1", "--amplitude", "2", "--runs", "1", "--B", "20",
+                 "--output", str(prefix)]) == 0
+    first = json.loads((tmp_path / "first.json").read_text())
+    assert first["config"]["preset"] is None and first["config"]["generator"]["amplitude"] == 2
+    assert main(["simulate", "--spec", str(tmp_path / "first.json"),
+                 "--output", str(tmp_path / "second")]) == 0
+    assert json.loads((tmp_path / "second.json").read_text())["config"] == first["config"]
 
 
 def test_simulate_zero_dimensional_spec_exit_3(tmp_path, capsys):

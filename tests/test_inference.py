@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from conftest import blas_count
@@ -23,6 +26,7 @@ from optics_cp import (
     run_experiment,
     xi_matrix,
 )
+from optics_cp.ext import _huber_rows
 from optics_cp.inference import PValueTable
 from optics_cp.inference import test_statistic as studentized_max
 
@@ -417,7 +421,7 @@ def test_rekeyed_multipliers_at_awkward_seeds(monkeypatch, seed):
         _assert_matches_reference(_noisy_scores(31), BootstrapConfig(b_reps=b_reps, seed=seed))
 
 
-def _bootstrap_peak(n_half, b_reps):
+def _bootstrap_peak(n_half, b_reps, k_max=4):
     """Peak traced memory of one analysis whose bootstrap dominates."""
     import tracemalloc
 
@@ -426,7 +430,7 @@ def _bootstrap_peak(n_half, b_reps):
     scores = _noisy_scores(30, n=2 * n_half)
     tracemalloc.start()
     try:
-        run_on_scores(scores, DetectorKind("bs", min_seg=5), CandidateSet(4), 0.1,
+        run_on_scores(scores, DetectorKind("bs", min_seg=5), CandidateSet(k_max), 0.1,
                       BootstrapConfig(b_reps=b_reps, seed=1))
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -450,17 +454,113 @@ def test_bootstrap_memory_independent_of_threads(force_threads):
     assert peak < inference._BUFFERS_BYTES + (8 << 20)
 
 
+def test_bootstrap_memory_holds_one_row_per_pair(force_threads):
+    # one studentized row per unordered pair of the K = 10 candidates, beside
+    # the fits and one chunk buffer; a layout of K(K - 1) rows holds at least
+    # twice the pair rows, the fits and the buffer, past the bound
+    from optics_cp import inference
+
+    force_threads(1)  # one chunk buffer
+    n_half, k = 16_000, 10
+    pair_bytes = k * (k - 1) // 2 * n_half * 8
+    bound = pair_bytes + k * n_half * 8 + inference._CHUNK_BYTES + (1 << 20)
+    assert bound < 2 * pair_bytes + k * n_half * 8 + inference._CHUNK_BYTES
+    assert _bootstrap_peak(n_half, 500, k_max=k) < bound
+
+
+# --- pair rows against the per-candidate chain ---------------------------------
+
+def _constant_rows(resid):
+    return np.ones(resid.shape[0])
+
+
+_ROW_FITS = {
+    "plain": None,
+    "huber": functools.partial(_huber_rows, kappa=1.0),
+    "constant": _constant_rows,  # every candidate fits equally: every row is zero
+}
+
+
+def _per_candidate_chain(scores, kind, m, cfg, row_fit):
+    """p_hat, t_stat and delta_hat from the public per-candidate calls: each
+    candidate's XiMatrix against all rivals, its statistic and its p-value."""
+    from optics_cp.core import parity_split
+    from optics_cp.detectors import fit_all_candidates
+    from optics_cp.inference import _fit_rows, _xi_from_fits
+
+    odd, even = parity_split(scores.data)
+    segs = fit_all_candidates(odd, m, kind)
+    cands = sorted(segs)
+    p_hat, t_stat, delta = [], [], []
+    for i, k in enumerate(cands):
+        if row_fit is None:
+            xm = xi_matrix(k, segs, ScoreSeries(odd), ScoreSeries(even))
+        else:
+            fits = np.array([_fit_rows(odd, even, segs[j], row_fit) for j in cands])
+            rivals = tuple(j for j in cands if j != k)
+            xm = _xi_from_fits(k, rivals, fits[i], np.delete(fits, i, axis=0))
+        t_stat.append(studentized_max(xm))
+        p_hat.append(bootstrap_pvalue(xm, cfg))
+        delta.append(np.insert(xm.delta_hat, i, 0.0))
+    return np.array(p_hat), np.array(t_stat), np.array(delta)
+
+
+@pytest.mark.parametrize("fit", sorted(_ROW_FITS))
+@pytest.mark.parametrize("k_max", [1, 2, 8])
+@pytest.mark.parametrize("detector", ["sn", "bs"])
+def test_pair_rows_match_the_per_candidate_chain(detector, k_max, fit):
+    # run_on_scores builds each unordered pair's row once and gathers it with a
+    # sign; the chain builds every candidate's rows itself: the bytes agree
+    from optics_cp.inference import _sq_rows, run_on_scores
+
+    scores = _noisy_scores(40 + k_max, n=480)
+    kind, m = DetectorKind(detector, min_seg=5), CandidateSet(k_max)
+    cfg = BootstrapConfig(b_reps=150, seed=k_max)
+    _, table = run_on_scores(scores, kind, m, 0.1, cfg, _ROW_FITS[fit] or _sq_rows)
+    p_hat, t_stat, delta = _per_candidate_chain(scores, kind, m, cfg, _ROW_FITS[fit])
+    assert len(table.candidates) == k_max
+    assert table.p_hat.tobytes() == p_hat.tobytes()
+    assert table.t_stat.tobytes() == t_stat.tobytes()
+    assert table.delta_hat.tobytes() == delta.tobytes()
+    assert fit == "constant" or k_max == 1 or table.delta_hat.any()
+
+
+@pytest.mark.parametrize("detector", ["sn", "bs"])
+def test_equal_fits_give_no_negative_zero(detector):
+    # a reversed row is 0.0 - x: with -x the last candidate, all of whose rival
+    # rows are reversed, would get t_stat -0.0, and every delta_hat below the
+    # diagonal would be -0.0, which analyze's JSON prints as such
+    from optics_cp.inference import run_on_scores
+
+    _, table = run_on_scores(_noisy_scores(50), DetectorKind(detector, min_seg=5),
+                             CandidateSet(8), 0.1, BootstrapConfig(b_reps=40, seed=1),
+                             _constant_rows)
+    assert len(table.candidates) == 8
+    assert not np.signbit(table.t_stat).any()
+    assert not np.signbit(table.delta_hat).any()
+    assert table.p_hat.tolist() == [0.0] * 8  # every replicate ties at 0, none exceeds
+
+
 # --- the threaded bootstrap ------------------------------------------------------
 
 _HALF = 120
 
 
 def _rows(k=4, n=_HALF, seed=0):
-    """Grid-snapped rival rows of k candidates and observed statistics spread
-    over the bootstrap distribution, so that the counts vary."""
+    """Grid-snapped pair rows of k candidates, where each candidate finds its
+    rival rows, and observed statistics spread over the bootstrap
+    distribution, so that the counts vary."""
     rng = np.random.default_rng(seed)
-    stud = np.round(rng.standard_normal((k * (k - 1), n)) * 8192.0) / 8192.0
-    return stud, np.linspace(0.5, 2.5, k)
+    stud = np.round(rng.standard_normal((k * (k - 1) // 2, n)) * 8192.0) / 8192.0
+    return stud, _pair_gather(k), np.linspace(0.5, 2.5, k)
+
+
+def _pair_gather(k):
+    """Row g: the indices of candidate g's k - 1 rival rows among the pair rows
+    (i < j, in (i, j) order) and their reversals, which follow them."""
+    pair = {p: i for i, p in enumerate(itertools.combinations(range(k), 2))}
+    return np.array([[pair[g, j] if g < j else len(pair) + pair[j, g] for j in range(k) if j != g]
+                     for g in range(k)], dtype=np.intp).reshape(k, k - 1)
 
 
 @pytest.mark.parametrize("b_reps", [50, 130])  # below one 64-replicate chunk; no multiple of 3, 7 or 64
@@ -469,7 +569,7 @@ def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, for
                                                                injected):
     from optics_cp import inference
 
-    stud, t_obs = _rows()
+    stud, gather, t_obs = _rows()
     inj = np.random.default_rng(4).standard_normal((b_reps, _HALF)) if injected else None
     cfg = BootstrapConfig(b_reps=b_reps, seed=9, injected=inj)
     results = {}
@@ -477,7 +577,7 @@ def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, for
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * reps)
         for threads in (1, 2, 3, 4):
             force_threads(threads)
-            results[reps, threads] = inference._bootstrap(stud, t_obs, cfg, _HALF).tobytes()
+            results[reps, threads] = inference._bootstrap(stud, gather, t_obs, cfg, _HALF).tobytes()
     assert len(set(results.values())) == 1
     assert 0 < np.frombuffer(results[3, 1]).sum() < len(t_obs)  # counts neither all nor none
 
@@ -487,18 +587,18 @@ def test_threaded_bootstrap_bit_equal_with_and_without_placement(monkeypatch, fo
     from optics_cp import blas, inference
 
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 5)
-    stud, t_obs = _rows()
+    stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=130, seed=3)
     placed = []
     real_place = blas.place
     monkeypatch.setattr(blas, "place", lambda i: (placed.append(i), real_place(i)))
     force_threads(2)
-    want = inference._bootstrap(stud, t_obs, cfg, _HALF)
+    want = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
     assert sorted(placed) == [0, 1]
     monkeypatch.setattr(blas, "place", lambda i: None)
-    assert inference._bootstrap(stud, t_obs, cfg, _HALF).tobytes() == want.tobytes()
+    assert inference._bootstrap(stud, gather, t_obs, cfg, _HALF).tobytes() == want.tobytes()
     force_threads(1)
-    assert inference._bootstrap(stud, t_obs, cfg, _HALF).tobytes() == want.tobytes()
+    assert inference._bootstrap(stud, gather, t_obs, cfg, _HALF).tobytes() == want.tobytes()
 
 
 def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch, force_threads):
@@ -508,17 +608,17 @@ def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch, force_th
 
     from optics_cp import inference
 
-    stud, t_obs = _rows()
+    stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=400, seed=5)
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)
     force_threads(1)
-    serial = inference._bootstrap(stud, t_obs, cfg, _HALF)
+    serial = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
     force_threads(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            assert np.array_equal(inference._bootstrap(stud, t_obs, cfg, _HALF), serial)
+            assert np.array_equal(inference._bootstrap(stud, gather, t_obs, cfg, _HALF), serial)
     finally:
         sys.setswitchinterval(interval)
 
@@ -561,11 +661,11 @@ def test_threaded_bootstrap_error_stops_every_thread(monkeypatch, force_threads,
             raised.append(me)
             raise error
 
-    stud, t_obs = _rows()
+    stud, gather, t_obs = _rows()
     watched, chunks = _watched(stud, fail)
     threads_before, count_before = set(threading.enumerate()), blas_count()
     with pytest.raises(type(error)) as info:
-        inference._bootstrap(watched, t_obs, BootstrapConfig(b_reps=300, seed=1), _HALF)
+        inference._bootstrap(watched, gather, t_obs, BootstrapConfig(b_reps=300, seed=1), _HALF)
     assert info.value is error
     assert set(threading.enumerate()) == threads_before
     assert blas_count() == count_before
@@ -584,7 +684,7 @@ def test_interrupt_while_joining_waits_for_every_helper(monkeypatch, force_threa
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)
     force_threads(3)
     caller = threading.get_ident()
-    stud, t_obs = _rows()
+    stud, gather, t_obs = _rows()
     # helpers are slow, so they are still busy when the caller runs out of chunks
     watched, chunks = _watched(stud, lambda me, chunk: me != caller and time.sleep(0.1))
     real_join = threading.Thread.join
@@ -599,7 +699,7 @@ def test_interrupt_while_joining_waits_for_every_helper(monkeypatch, force_threa
     monkeypatch.setattr(threading.Thread, "join", join)
     threads_before, count_before = set(threading.enumerate()), blas_count()
     with pytest.raises(KeyboardInterrupt):
-        inference._bootstrap(watched, t_obs, BootstrapConfig(b_reps=20, seed=1), _HALF)
+        inference._bootstrap(watched, gather, t_obs, BootstrapConfig(b_reps=20, seed=1), _HALF)
     assert interrupted == [True]
     assert set(threading.enumerate()) == threads_before
     assert blas_count() == count_before
@@ -612,12 +712,12 @@ def test_threaded_bootstrap_without_openblas_runs_serially(monkeypatch):
     from optics_cp import blas, inference
 
     monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 5)
-    stud, t_obs = _rows()
+    stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=60, seed=2)
-    want = inference._bootstrap(stud, t_obs, cfg, _HALF)
+    want = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
     monkeypatch.setattr(blas, "_thread_calls", lambda: None)
     watched, chunks = _watched(stud, lambda me, chunk: None)
-    assert np.array_equal(inference._bootstrap(watched, t_obs, cfg, _HALF), want)
+    assert np.array_equal(inference._bootstrap(watched, gather, t_obs, cfg, _HALF), want)
     assert list(chunks) == [threading.get_ident()] and chunks[threading.get_ident()] == 12
 
 
