@@ -57,10 +57,12 @@ _STUDENT_GRID = 8192.0
 
 _SEED_MASK = (1 << 64) - 1
 
-# Replicates are drawn and multiplied in chunks of about this many bytes
-# of multipliers, one buffer per thread, so bootstrap memory is O(chunk)
-# rather than O(B n).
+# Replicates are drawn and multiplied in chunks of at most this many bytes
+# of multipliers and at most this many replicates, one buffer per thread, so
+# a buffer holds min(B, 128, 4 MiB / 8n) rows of n multipliers rather than
+# all B: the byte cap binds above n = 4,096 points, the replicate cap below.
 _CHUNK_BYTES = 4 << 20
+_CHUNK_REPS = 128
 
 # The threads' buffers together stay within this many bytes, which caps the
 # thread count, so bootstrap memory does not grow with the machine's cores.
@@ -262,7 +264,7 @@ def _bootstrap(stud: np.ndarray, gather: np.ndarray, t_obs: np.ndarray, cfg: Boo
         # nothing to compare against: no candidate can be rejected
         return np.ones(len(t_obs))
     b_reps, seed = cfg.b_reps, cfg.seed & _SEED_MASK
-    rows = max(1, min(b_reps, _CHUNK_BYTES // (8 * n)))
+    rows = max(1, min(b_reps, _CHUNK_REPS, _CHUNK_BYTES // (8 * n)))
     starts = range(0, b_reps, rows)
     tickets = itertools.count()  # the next chunk to take; next() on it is atomic
     stop = threading.Event()
@@ -366,6 +368,7 @@ def run_on_scores(
         delta_pairs[rows] = xm.delta_hat
     delta = np.zeros((n_cand, n_cand))
     delta[off] = _signed(delta_pairs, gather).ravel()
+    del fits  # the bootstrap then holds only the pair rows and its chunk buffers
 
     # with no rivals the statistic is 0 by convention, as in test_statistic
     t_stat = _signed(stud.sum(axis=1) / math.sqrt(n), gather).max(axis=1) if r else np.zeros(1)

@@ -455,16 +455,29 @@ def test_bootstrap_memory_independent_of_threads(force_threads):
 
 
 def test_bootstrap_memory_holds_one_row_per_pair(force_threads):
-    # one studentized row per unordered pair of the K = 10 candidates, beside
-    # the fits and one chunk buffer; a layout of K(K - 1) rows holds at least
-    # twice the pair rows, the fits and the buffer, past the bound
+    # one studentized row per unordered pair of the K = 10 candidates and one
+    # chunk buffer, the fits being freed before the bootstrap; a layout of
+    # K(K - 1) rows holds at least twice the pair rows and the buffer, past the bound
     from optics_cp import inference
 
     force_threads(1)  # one chunk buffer
     n_half, k = 16_000, 10
     pair_bytes = k * (k - 1) // 2 * n_half * 8
-    bound = pair_bytes + k * n_half * 8 + inference._CHUNK_BYTES + (1 << 20)
-    assert bound < 2 * pair_bytes + k * n_half * 8 + inference._CHUNK_BYTES
+    bound = pair_bytes + inference._CHUNK_BYTES + (1 << 20)
+    assert bound < 2 * pair_bytes + inference._CHUNK_BYTES
+    assert _bootstrap_peak(n_half, 500, k_max=k) < bound
+
+
+def test_bootstrap_memory_at_small_n_holds_one_capped_chunk(force_threads):
+    # at 1,000 points a 4 MiB chunk would hold all B = 500 replicates, 4 MB of
+    # multipliers; the replicate cap keeps the buffer to 128 rows
+    from optics_cp import inference
+
+    force_threads(1)  # one chunk buffer
+    n_half, k = 1_000, 6
+    assert 500 * n_half * 8 < inference._CHUNK_BYTES
+    pair_bytes = k * (k - 1) // 2 * n_half * 8
+    bound = pair_bytes + 128 * n_half * 8 + (1 << 20)
     assert _bootstrap_peak(n_half, 500, k_max=k) < bound
 
 
@@ -563,23 +576,29 @@ def _pair_gather(k):
                      for g in range(k)], dtype=np.intp).reshape(k, k - 1)
 
 
-@pytest.mark.parametrize("b_reps", [50, 130])  # below one 64-replicate chunk; no multiple of 3, 7 or 64
+# below one chunk of 64 or 128 replicates, and above; no multiple of 3, 7, 64 or 128
+@pytest.mark.parametrize("b_reps", [50, 130])
 @pytest.mark.parametrize("injected", [False, True])
 def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, force_threads, b_reps,
                                                                injected):
+    # chunks bounded by bytes (3, 7, 64 or all B replicates) and by the
+    # replicate cap (1, 7, 128 or none), on 1 to 4 threads: one set of bytes
     from optics_cp import inference
 
     stud, gather, t_obs = _rows()
     inj = np.random.default_rng(4).standard_normal((b_reps, _HALF)) if injected else None
     cfg = BootstrapConfig(b_reps=b_reps, seed=9, injected=inj)
+    uncapped = 1 << 30
     results = {}
-    for reps in (3, 7, 64):
+    for reps, cap in itertools.product((3, 7, 64, uncapped), (1, 7, 128, uncapped)):
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * reps)
+        monkeypatch.setattr(inference, "_CHUNK_REPS", cap)
         for threads in (1, 2, 3, 4):
             force_threads(threads)
-            results[reps, threads] = inference._bootstrap(stud, gather, t_obs, cfg, _HALF).tobytes()
-    assert len(set(results.values())) == 1
-    assert 0 < np.frombuffer(results[3, 1]).sum() < len(t_obs)  # counts neither all nor none
+            results[reps, cap, threads] = inference._bootstrap(stud, gather, t_obs, cfg,
+                                                               _HALF).tobytes()
+    assert len(results) == 64 and len(set(results.values())) == 1
+    assert 0 < np.frombuffer(results[3, 1, 1]).sum() < len(t_obs)  # counts neither all nor none
 
 
 def test_threaded_bootstrap_bit_equal_with_and_without_placement(monkeypatch, force_threads):
