@@ -30,8 +30,10 @@ replicate b come from a Philox counter stream keyed by (seed, b).  The
 bootstrap pins numpy's OpenBLAS to one thread and shares chunks of
 replicates out over the T threads it had (``blas.run``); every chunk has
 one shape at any T, so the p-values depend neither on T nor on
-``OPENBLAS_NUM_THREADS``.  They can still depend on the BLAS build and
-the chunk size, through the last bits of the GEMM.
+``OPENBLAS_NUM_THREADS``.  A chunk is multiplied one column slice at a
+time, one product per slice summed over the slices.  The p-values can
+still depend on the BLAS build and on the chunk and slice shape, through
+the last bits of the products.
 """
 
 from __future__ import annotations
@@ -57,15 +59,17 @@ _STUDENT_GRID = 8192.0
 
 _SEED_MASK = (1 << 64) - 1
 
-# Replicates are drawn and multiplied in chunks of at most this many bytes
-# of multipliers and at most this many replicates, one buffer per thread, so
-# a buffer holds min(B, 128, 4 MiB / 8n) rows of n multipliers rather than
-# all B: the byte cap binds above n = 4,096 points, the replicate cap below.
-_CHUNK_BYTES = 4 << 20
+# Replicates are drawn and multiplied in tiles: the n columns are split evenly
+# into ceil(n / _SLICE) slices, and a chunk of min(B, 128, 1 MiB / 8S)
+# replicates, S the widest slice, runs one slice after another through one
+# tile buffer per thread.  So a thread holds at most 1 MiB of multipliers at
+# any n, and at n <= 1,024 a chunk is min(B, 128) whole rows.
+_TILE_BYTES = 1 << 20
 _CHUNK_REPS = 128
+_SLICE = 4096
 
-# The threads' buffers together stay within this many bytes, which caps the
-# thread count, so bootstrap memory does not grow with the machine's cores.
+# The threads' tile buffers together stay within this many bytes, which caps
+# the thread count, so bootstrap memory does not grow with the machine's cores.
 _BUFFERS_BYTES = 16 << 20
 
 
@@ -197,16 +201,26 @@ def _snap(rows: np.ndarray) -> np.ndarray:
     return np.divide(np.round(rows, out=rows), _STUDENT_GRID, out=rows)
 
 
-def _xi_from_fits(k: int, rivals: tuple[int, ...], fit_k: np.ndarray, fit_rivals: np.ndarray,
-                  out: np.ndarray | None = None) -> XiMatrix:
-    # the studentized rows are written into ``out`` when it is given
-    xi = fit_k[None, :] - fit_rivals
-    delta = xi.mean(axis=1)
-    sigma = np.sqrt((xi * xi).mean(axis=1))
+def _studentize(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Studentize criterion-difference rows in place, snapped to the grid,
+    and return their means and root mean squares.  The squares are formed one
+    row at a time, so no temporary of the rows' size is made; rows whose root
+    mean square is 0 become zero."""
+    delta = rows.mean(axis=1)
+    sq = np.empty(rows.shape[1])
+    sigma = np.sqrt(np.array([np.multiply(row, row, out=sq).mean() for row in rows]))
     nz = sigma > 0
-    stud = np.divide(xi, np.where(nz, sigma, 1.0)[:, None], out=out)
-    _snap(stud)
-    stud[~nz] = 0.0
+    np.divide(rows, np.where(nz, sigma, 1.0)[:, None], out=rows)
+    _snap(rows)
+    rows[~nz] = 0.0
+    return delta, sigma
+
+
+def _xi_from_fits(k: int, rivals: tuple[int, ...], fit_k: np.ndarray,
+                  fit_rivals: np.ndarray) -> XiMatrix:
+    xi = fit_k[None, :] - fit_rivals
+    stud = xi.copy()
+    delta, sigma = _studentize(stud)
     return XiMatrix(
         k=k,
         rivals=rivals,
@@ -248,15 +262,24 @@ def _signed(rows: np.ndarray, gather: np.ndarray) -> np.ndarray:
     return np.concatenate((rows, np.subtract(0.0, rows)))[gather]
 
 
+def _tile(n: int, b_reps: int) -> tuple[int, list[tuple[int, int]]]:
+    """Replicates per chunk, and the (lo, hi) column slices a chunk runs through."""
+    parts = -(-n // _SLICE)
+    edges = [i * n // parts for i in range(parts + 1)]
+    reps = max(1, min(b_reps, _CHUNK_REPS, _TILE_BYTES // (8 * -(-n // parts))))
+    return reps, list(zip(edges, edges[1:]))
+
+
 def _bootstrap(stud: np.ndarray, gather: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig,
                n: int) -> np.ndarray:
     """Bootstrap p-values of len(t_obs) candidates at once.
 
     ``stud`` holds studentized rows, and row g of ``gather`` indexes candidate
     g's rival rows among them, signed as in ``_signed``.  Replicates run in
-    chunks: one GEMM per chunk over all rows, then each candidate's max over
-    its gathered rows.  The chunks are shared out over threads, and an error
-    in any thread stops the others after their current chunk and is raised here.
+    chunks, and a chunk in column slices (``_tile``): one product per slice
+    over all rows, summed over the slices, then each candidate's max over its
+    gathered rows.  The chunks are shared out over threads, and an error in
+    any thread stops the others after their current chunk and is raised here.
     """
     if cfg.injected is not None and cfg.injected.shape[1] != n:
         raise ConfigError(f"injected multipliers have length {cfg.injected.shape[1]}, expected {n}")
@@ -264,36 +287,48 @@ def _bootstrap(stud: np.ndarray, gather: np.ndarray, t_obs: np.ndarray, cfg: Boo
         # nothing to compare against: no candidate can be rejected
         return np.ones(len(t_obs))
     b_reps, seed = cfg.b_reps, cfg.seed & _SEED_MASK
-    rows = max(1, min(b_reps, _CHUNK_REPS, _CHUNK_BYTES // (8 * n)))
-    starts = range(0, b_reps, rows)
+    reps, slices = _tile(n, b_reps)
+    widths = {hi - lo for lo, hi in slices}
+    starts = range(0, b_reps, reps)
     tickets = itertools.count()  # the next chunk to take; next() on it is atomic
     stop = threading.Event()
     results = []
 
     def count_chunks():
-        # this thread's buffer, generator and counts
+        # this thread's tile buffer, generators and counts
         counts = np.zeros(len(t_obs), dtype=np.int64)
         if cfg.injected is None:
-            buf = np.empty((rows, n))
-            buf_rows = list(buf)  # the row views, built once; out= alone fixes the shape
-            # one generator, re-keyed to (seed, b) with a zero counter and an empty
-            # buffer per replicate: the same stream as a fresh Philox(key=(seed, b))
-            bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-            gen = np.random.Generator(bitgen)
-            state = bitgen.state
+            buf = np.empty(reps * max(widths))
+            views = {w: list(buf[: reps * w].reshape(reps, w)) for w in widths}  # rows, built once
+            # a generator is re-keyed to (seed, b) with a zero counter and an empty
+            # buffer at replicate b's first slice, the stream of a fresh
+            # Philox(key=(seed, b)), and carries it on to b's later slices: one
+            # generator per replicate of a chunk, or one in all for a single slice
+            gens = [np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+                    for _ in range(reps if len(slices) > 1 else 1)]
+            state = gens[0].bit_generator.state
+            # Python ints, which the state setter reads faster than arrays
+            state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+            state["buffer"] = state["buffer"].tolist()
             key = state["state"]["key"]
         while not stop.is_set() and (i := next(tickets)) < len(starts):
             lo = starts[i]
-            c = min(rows, b_reps - lo)
-            if cfg.injected is not None:
-                mult = cfg.injected[lo : lo + c]
-            else:
-                mult = buf[:c]
-                for j in range(c):
-                    key[1] = lo + j
-                    bitgen.state = state
-                    gen.standard_normal(out=buf_rows[j])
-            t_sharp = _signed((stud @ mult.T) / math.sqrt(n), gather).max(axis=1)
+            c = min(reps, b_reps - lo)
+            acc = None
+            for a, b in slices:
+                if cfg.injected is not None:
+                    tile = cfg.injected[lo : lo + c, a:b]
+                else:
+                    tile = buf[: c * (b - a)].reshape(c, b - a)
+                    for j, row in zip(range(c), views[b - a]):
+                        gen = gens[j % len(gens)]
+                        if a == 0:
+                            key[1] = lo + j
+                            gen.bit_generator.state = state
+                        gen.standard_normal(out=row)
+                part = stud[:, a:b] @ tile.T
+                acc = part if acc is None else np.add(acc, part, out=acc)
+            t_sharp = _signed(acc / math.sqrt(n), gather).max(axis=1)
             counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
         results.append(counts)
 
@@ -301,7 +336,7 @@ def _bootstrap(stud: np.ndarray, gather: np.ndarray, t_obs: np.ndarray, cfg: Boo
     # thread count, as far as the buffer budget allows; each multiplies on one
     # BLAS thread, and every chunk has the same shape at any T, so the counts
     # do not depend on T
-    budget = max(1, _BUFFERS_BYTES // (8 * rows * n))
+    budget = max(1, _BUFFERS_BYTES // (8 * reps * max(widths)))
     with blas.single_thread() as threads:
         blas.run([count_chunks] * min(threads, len(starts), budget), stop.set)
     return sum(results) / b_reps
@@ -362,13 +397,13 @@ def run_on_scores(
     gather = index[off].reshape(n_cand, r)
     stud = np.empty((pairs, n))
     delta_pairs = np.empty(pairs)
-    for i, k in enumerate(candidates[:-1]):
+    for i in range(r):
         rows = slice(gather[i, i], gather[i, -1] + 1)  # its pairs with the later candidates
-        xm = _xi_from_fits(k, candidates[i + 1 :], fits[i], fits[i + 1 :], out=stud[rows])
-        delta_pairs[rows] = xm.delta_hat
+        xi = np.subtract(fits[i], fits[i + 1 :], out=stud[rows])
+        delta_pairs[rows] = _studentize(xi)[0]
     delta = np.zeros((n_cand, n_cand))
     delta[off] = _signed(delta_pairs, gather).ravel()
-    del fits  # the bootstrap then holds only the pair rows and its chunk buffers
+    del fits  # the bootstrap then holds only the pair rows and its tile buffers
 
     # with no rivals the statistic is 0 by convention, as in test_statistic
     t_stat = _signed(stud.sum(axis=1) / math.sqrt(n), gather).max(axis=1) if r else np.zeros(1)

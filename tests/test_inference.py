@@ -368,7 +368,7 @@ def test_chunked_bootstrap_b_not_multiple_of_chunk(monkeypatch):
     from optics_cp import inference
 
     scores = _noisy_scores(20)
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 7)  # 7 replicates per chunk
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * 120 * 7)  # 7 replicates per chunk
     for b_reps in (50, 54, 57):  # remainders 1, 5 and 1 after full chunks
         _assert_matches_reference(scores, BootstrapConfig(b_reps=b_reps, seed=b_reps))
 
@@ -406,19 +406,60 @@ def test_chunked_bootstrap_injected(monkeypatch):
     scores = _noisy_scores(28)
     inj = np.random.default_rng(9).standard_normal((45, 120))
     _assert_matches_reference(scores, BootstrapConfig(b_reps=45, seed=0, injected=inj))
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 4)
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * 120 * 4)
     _assert_matches_reference(scores, BootstrapConfig(b_reps=45, seed=0, injected=inj))
+
+
+@pytest.mark.parametrize("injected", [False, True])
+@pytest.mark.parametrize("n_half", [39, 40, 41, 83])
+def test_sliced_bootstrap_at_slice_edges(monkeypatch, n_half, injected):
+    # slices of at most 40 points: one slice one short of the width, one
+    # exactly the width, two slices from one point past it, and three uneven
+    # slices from 83 points; each replicate's stream runs on across its slices
+    from optics_cp import inference
+
+    monkeypatch.setattr(inference, "_SLICE", 40)
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * 40 * 7)
+    reps, slices = inference._tile(n_half, 45)
+    assert len(slices) == {39: 1, 40: 1, 41: 2, 83: 3}[n_half]
+    assert 45 % reps  # a last chunk of fewer replicates
+    inj = np.random.default_rng(n_half).standard_normal((45, n_half)) if injected else None
+    _assert_matches_reference(_noisy_scores(32, n=2 * n_half),
+                              BootstrapConfig(b_reps=45, seed=n_half, injected=inj))
+
+
+def test_tile_holds_at_most_one_mib_and_keeps_small_n_whole():
+    # a thread's tile buffer is at most _TILE_BYTES (1 MiB) at any n; at
+    # n <= 1,024 a chunk is min(B, 128) whole rows, as it was before slicing
+    from optics_cp import inference
+
+    assert inference._TILE_BYTES == 1 << 20
+    for n in (*range(1, 9000, 37), 1_024, 4_096, 4_097, 8_000, 32_000, 10**6, 10**7 + 3):
+        for b_reps in (1, 50, 500):
+            reps, slices = inference._tile(n, b_reps)
+            edges = np.ravel(slices)
+            widths = edges[1::2] - edges[0::2]
+            assert edges[0] == 0 and edges[-1] == n and np.all(edges[1:-1:2] == edges[2::2])
+            assert widths.min() >= 1 and widths.max() - widths.min() <= 1
+            assert widths.max() <= inference._SLICE
+            assert reps * widths.max() * 8 <= inference._TILE_BYTES
+            assert reps == min(b_reps, 128, inference._TILE_BYTES // (8 * widths.max()))
+            if n <= 1_024:  # the chunks of whole rows before slicing
+                assert (reps, slices) == (min(b_reps, 128, (4 << 20) // (8 * n)), [(0, n)])
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 63, (1 << 64) + 5])
 def test_rekeyed_multipliers_at_awkward_seeds(monkeypatch, seed):
     # the reference builds a fresh Philox per replicate, keyed (seed mod 2^64, b);
-    # the kernel re-keys one generator, across chunks of 16 replicates
+    # the kernel re-keys one generator across chunks of 16 whole rows, or one
+    # per replicate across chunks of 16 replicates by three slices of 40
     from optics_cp import inference
 
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 120 * 16)
-    for b_reps in (16, 37):
-        _assert_matches_reference(_noisy_scores(31), BootstrapConfig(b_reps=b_reps, seed=seed))
+    for width in (120, 40):
+        monkeypatch.setattr(inference, "_SLICE", width)
+        monkeypatch.setattr(inference, "_TILE_BYTES", 8 * width * 16)
+        for b_reps in (16, 37):
+            _assert_matches_reference(_noisy_scores(31), BootstrapConfig(b_reps=b_reps, seed=seed))
 
 
 def _bootstrap_peak(n_half, b_reps, k_max=4):
@@ -443,7 +484,7 @@ def test_bootstrap_memory_independent_of_replicates():
 
 
 def test_bootstrap_memory_independent_of_threads(force_threads):
-    # on a machine with 20 BLAS threads the chunk buffers of all threads
+    # on a machine with 20 BLAS threads the tile buffers of all threads
     # together stay within a fixed budget
     from optics_cp import inference
 
@@ -456,29 +497,49 @@ def test_bootstrap_memory_independent_of_threads(force_threads):
 
 def test_bootstrap_memory_holds_one_row_per_pair(force_threads):
     # one studentized row per unordered pair of the K = 10 candidates and one
-    # chunk buffer, the fits being freed before the bootstrap; a layout of
-    # K(K - 1) rows holds at least twice the pair rows and the buffer, past the bound
+    # tile buffer, the fits being freed before the bootstrap; a layout of
+    # K(K - 1) rows holds at least twice the pair rows, past the bound
     from optics_cp import inference
 
-    force_threads(1)  # one chunk buffer
+    force_threads(1)  # one tile buffer
     n_half, k = 16_000, 10
     pair_bytes = k * (k - 1) // 2 * n_half * 8
-    bound = pair_bytes + inference._CHUNK_BYTES + (1 << 20)
-    assert bound < 2 * pair_bytes + inference._CHUNK_BYTES
+    bound = pair_bytes + inference._TILE_BYTES + (1 << 20)
+    assert bound < 2 * pair_bytes
     assert _bootstrap_peak(n_half, 500, k_max=k) < bound
 
 
 def test_bootstrap_memory_at_small_n_holds_one_capped_chunk(force_threads):
-    # at 1,000 points a 4 MiB chunk would hold all B = 500 replicates, 4 MB of
-    # multipliers; the replicate cap keeps the buffer to 128 rows
+    # at 1,000 points a tile of 1 MiB would hold 131 whole rows; the
+    # replicate cap keeps the buffer to 128
     from optics_cp import inference
 
-    force_threads(1)  # one chunk buffer
+    force_threads(1)  # one tile buffer
     n_half, k = 1_000, 6
-    assert 500 * n_half * 8 < inference._CHUNK_BYTES
+    assert inference._tile(n_half, 500) == (128, [(0, n_half)])
     pair_bytes = k * (k - 1) // 2 * n_half * 8
     bound = pair_bytes + 128 * n_half * 8 + (1 << 20)
     assert _bootstrap_peak(n_half, 500, k_max=k) < bound
+
+
+@pytest.mark.parametrize("n_half", [4_000, 32_000])
+def test_bootstrap_tile_does_not_grow_with_n(force_threads, n_half):
+    # with one thread the bootstrap holds the pair rows, made here before
+    # tracing starts, and one tile of at most 1 MiB: whole rows of 128
+    # replicates would take 4.1 MB at 4,000 points and 32.8 MB at 32,000
+    import tracemalloc
+
+    from optics_cp import inference
+
+    force_threads(1)  # one tile buffer
+    stud, gather, t_obs = _rows(k=8, n=n_half)
+    tracemalloc.start()
+    try:
+        inference._bootstrap(stud, gather, t_obs, BootstrapConfig(b_reps=500, seed=1), n_half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= inference._TILE_BYTES + (1 << 20)
 
 
 # --- pair rows against the per-candidate chain ---------------------------------
@@ -582,30 +643,36 @@ def _pair_gather(k):
 def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, force_threads, b_reps,
                                                                injected):
     # chunks bounded by bytes (3, 7, 64 or all B replicates) and by the
-    # replicate cap (1, 7, 128 or none), on 1 to 4 threads: one set of bytes
+    # replicate cap (1, 7, 128 or none), in slices of 1, 7, 64 or all 120
+    # points, on 1 to 4 threads: one set of bytes.  Whole rows run on every
+    # thread count; each sliced shape on one, taken in turn
     from optics_cp import inference
 
     stud, gather, t_obs = _rows()
     inj = np.random.default_rng(4).standard_normal((b_reps, _HALF)) if injected else None
     cfg = BootstrapConfig(b_reps=b_reps, seed=9, injected=inj)
     uncapped = 1 << 30
+    turn = itertools.cycle((1, 2, 3, 4))
     results = {}
-    for reps, cap in itertools.product((3, 7, 64, uncapped), (1, 7, 128, uncapped)):
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * reps)
+    for width, reps, cap in itertools.product((1, 7, 64, uncapped), (3, 7, 64, uncapped),
+                                              (1, 7, 128, uncapped)):
+        monkeypatch.setattr(inference, "_SLICE", width)
+        widest = -(-_HALF // -(-_HALF // width))  # of the slices of at most ``width``
+        monkeypatch.setattr(inference, "_TILE_BYTES", 8 * widest * reps)
         monkeypatch.setattr(inference, "_CHUNK_REPS", cap)
-        for threads in (1, 2, 3, 4):
+        for threads in (1, 2, 3, 4) if width == uncapped else (next(turn),):
             force_threads(threads)
-            results[reps, cap, threads] = inference._bootstrap(stud, gather, t_obs, cfg,
-                                                               _HALF).tobytes()
-    assert len(results) == 64 and len(set(results.values())) == 1
-    assert 0 < np.frombuffer(results[3, 1, 1]).sum() < len(t_obs)  # counts neither all nor none
+            results[width, reps, cap, threads] = inference._bootstrap(stud, gather, t_obs, cfg,
+                                                                      _HALF).tobytes()
+    assert len(results) == 64 + 48 and len(set(results.values())) == 1
+    assert 0 < np.frombuffer(results[1, 3, 1, 1]).sum() < len(t_obs)  # counts neither all nor none
 
 
 def test_threaded_bootstrap_bit_equal_with_and_without_placement(monkeypatch, force_threads):
     # each thread starts on its own CPU, which must not move a count
     from optics_cp import blas, inference
 
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 5)
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF * 5)
     stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=130, seed=3)
     placed = []
@@ -629,7 +696,7 @@ def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch, force_th
 
     stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=400, seed=5)
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF)
     force_threads(1)
     serial = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
     force_threads(8)
@@ -668,7 +735,7 @@ def test_threaded_bootstrap_error_stops_every_thread(monkeypatch, force_threads,
 
     from optics_cp import inference
 
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)  # one replicate per chunk
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF)  # one replicate per chunk
     force_threads(3)
     caller = threading.get_ident()
     # a helper's third chunk raises an error, or the caller's an interrupt
@@ -700,7 +767,7 @@ def test_interrupt_while_joining_waits_for_every_helper(monkeypatch, force_threa
 
     from optics_cp import inference
 
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF)
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF)
     force_threads(3)
     caller = threading.get_ident()
     stud, gather, t_obs = _rows()
@@ -730,7 +797,7 @@ def test_threaded_bootstrap_without_openblas_runs_serially(monkeypatch):
 
     from optics_cp import blas, inference
 
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 5)
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF * 5)
     stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=60, seed=2)
     want = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
@@ -745,7 +812,7 @@ def test_concurrent_optics_calls_get_the_serial_bytes(monkeypatch):
 
     from optics_cp import inference
 
-    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * _HALF * 16)  # 13 chunks of B = 200
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF * 16)  # 13 chunks of B = 200
     series = {s: mean_series(s) for s in range(4)}
     serial = {s: run_pipeline(ts, seed=s)[1] for s, ts in series.items()}
     count_before = blas_count()
