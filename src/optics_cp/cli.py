@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
+import itertools
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -31,66 +34,74 @@ SCHEMA = "optics/1"
 logger = logging.getLogger("optics_cp")
 
 
-def _numbered(rows: list[str], first: int) -> list[tuple[int, str]]:
-    """The non-blank rows with their line numbers, ``rows[0]`` being line ``first``."""
-    return [(i, ln) for i, ln in enumerate(rows, first) if ln.strip()]
+# loadtxt parses a cell as float() does on ASCII, but strips \x1f; data rows also lack "_"
+# (float() reads "1_0") and \x0b \x0c \x1c \x1d \x1e, which _FIRST does not take as blank
+_PLAIN = bytes(set(range(128)) - {0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F})
+_FIRST = re.compile(rb"[ \t\r\n]*([^\r\n]*)")  # blank lines, then the first non-blank line
+_BATCH = re.compile(rb"(?s).{0,65536}[^\n]*\n?")  # 64 KiB of text, to the end of its last line
 
 
 def _read_csv(path: str) -> np.ndarray:
-    """Load a numeric CSV, tolerating one optional header row.
+    """Load a numeric UTF-8 CSV, tolerating a leading BOM and one optional header row.
 
-    Every value equals Python's ``float`` of its cell.  numpy's ``loadtxt``
-    parses the data rows; a text it refuses is read again line by line, so
-    the error names the offending line.
+    Every value equals Python's ``float`` of its cell.  ``loadtxt`` parses plain
+    data rows, 64 KiB of lines at a time; other text is read line by line, so
+    an error names the offending line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    lines = text.splitlines()
-    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if first is None:
-        raise ParseError(f"{path} is empty")
-    start = first + 1  # the line number of rows[0], below the header if there is one
+    first = _FIRST.match(raw)
+    head = first[1].decode(errors="replace")
+    body = first.end()  # below the header row, unless the first line is numeric
+    with contextlib.suppress(ValueError):
+        [float(tok) for tok in head.split(",")]
+        body = first.start(1)
+    data = None
+    # a header may hold any character but U+FFFD (for an undecodable byte) or a line break
+    if ([head] == head.splitlines() and "\ufffd" not in head and _FIRST.match(raw, body)[1]
+            and raw.translate(None, _PLAIN) == raw[:body].translate(None, _PLAIN)
+            and raw.find(b"_", body) < 0):
+        lines = itertools.chain.from_iterable(
+            m[0].decode().splitlines() for m in _BATCH.finditer(raw, body))
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if np.isfinite(data).all():
+                return data
     try:
-        [float(tok) for tok in lines[first].split(",")]
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"{path}: line {lineno}: not valid UTF-8") from None
+    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows:
+        raise ParseError(f"{path} is empty")
+    try:
+        [float(tok) for tok in rows[0][1].split(",")]
     except ValueError:
-        start += 1  # header row
-    rows = lines[start - 1 :]
-    if not any(ln.strip() for ln in rows):
+        rows = rows[1:]  # header row
+    if not rows:
         raise ParseError(f"{path} has no data rows")
-    # float() also reads "1_0" and non-ASCII digits, but numbers here are plain
-    # ASCII decimal or scientific notation; the whole text is checked first,
-    # which costs next to nothing, and the lines only when it holds such a character
-    if "_" in text or not text.isascii():
-        stray = next(((i, ln) for i, ln in _numbered(rows, start) if "_" in ln or not ln.isascii()), None)
+    if data is None:  # else loadtxt parsed the rows, and one holds a non-finite value
+        # float() also reads "1_0" and non-ASCII digits; numbers here are plain ASCII
+        stray = next(((i, ln) for i, ln in rows if "_" in ln or not ln.isascii()), None)
         if stray is not None:
             raise ParseError(f"{path}: line {stray[0]}: underscore or non-ASCII character "
                              f"in numeric row {stray[1]!r}")
-    data = None
-    # on plain ASCII cells loadtxt and float() share CPython's number parser, but
-    # loadtxt also strips the unit separator \x1f around a number and float() does not
-    if "\x1f" not in text:
-        with contextlib.suppress(ValueError):
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    if data is None:  # refused: parse cell by cell to name the offending line
         parsed = []
-        width = None
-        for lineno, ln in _numbered(rows, start):
+        for lineno, ln in rows:
             try:
-                row = [float(tok) for tok in ln.split(",")]
+                parsed.append([float(tok) for tok in ln.split(",")])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: bad numeric row {ln!r}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if len(parsed[-1]) != len(parsed[0]):
                 raise ParseError(f"{path}: line {lineno}: ragged row {ln!r}")
-            parsed.append(row)
         data = np.asarray(parsed, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        lineno, ln = _numbered(rows, start)[bad[0]]
+        lineno, ln = rows[bad[0]]
         raise ParseError(f"{path}: line {lineno}: non-finite value in row {ln!r}")
     return data
 
@@ -291,7 +302,7 @@ def _read_spec(path: str) -> _Simulate:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ParseError(f"cannot parse spec file {path}: {exc}") from None
     config = loaded.get("config", loaded) if isinstance(loaded, dict) else None
     if not isinstance(config, dict):

@@ -45,7 +45,7 @@ NOISE_NORMAL = "normal"
 NOISE_STUDENT_T = "student_t"
 NOISE_SCALED_NORMAL = "scaled_normal"
 
-METHODS = ("optics", "ms", "huber", "mdep", "copss")
+METHODS = ("optics", "ms", "huber", "mdep")
 
 
 @dataclass(frozen=True)
@@ -433,8 +433,7 @@ def run_experiment(
         detector = DetectorKind(SEGMENT_NEIGHBORHOOD)
     if k_max is None:
         k_max = default_k_max(spec.n_total)
-    # split count and Huber setting of the method; optics and copss share
-    # the base pipeline
+    # split count and Huber setting of the method
     L = ms_l if method == "ms" else spec.m_dep + 1 if method == "mdep" else 1
     h = (huber or HuberConfig()) if method == "huber" else None
     job = _Runs(spec, detector, CandidateSet(k_max), alpha, b_reps, seed, L, h)

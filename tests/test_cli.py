@@ -192,6 +192,34 @@ def test_analyze_header_row_tolerated(tmp_path):
                  "--output", str(out)]) == 0
 
 
+def test_analyze_csv_not_utf8_exit_2_names_the_line(tmp_path, capsys):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"1\n2\n\xff3\n4\n")
+    assert main(["analyze", "--input", str(bad), "--output", "-"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 3: not valid UTF-8\n"
+
+
+def test_read_csv_peak_memory_is_a_few_times_the_file(tmp_path):
+    # the reader holds the file's bytes and the parsed array, and no Python
+    # string per line
+    import tracemalloc
+
+    from optics_cp.cli import _read_csv
+
+    values = np.random.default_rng(0).standard_normal(200_000)
+    path = tmp_path / "big.csv"
+    path.write_text("y\n" + "".join(f"{v:.6f}\n" for v in values), encoding="utf-8")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        data = _read_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (200_000, 1)
+    assert peak <= 3 * size, (peak, size)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
 def test_read_csv_from_pipe_reads_it_once():
     import threading
@@ -415,6 +443,22 @@ def test_simulate_spec_file_without_generator_exit_2(tmp_path):
     assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 2
     spec_file.write_text("{not json")
     assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 2
+
+
+def test_simulate_spec_file_not_utf8_exit_2(tmp_path, capsys):
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_bytes(b'{"generator": {"design": "mean\xff"}}')
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse spec file {spec_file}: ") and "Traceback" not in err
+
+
+def test_simulate_copss_method_is_unknown_exit_3(tmp_path, capsys):
+    # every method records the COPSS estimate; "copss" is no method of its own
+    spec_file = tmp_path / "copss.json"
+    spec_file.write_text(json.dumps({"generator": {"design": "mean"}, "method": "copss"}))
+    assert main(["simulate", "--spec", str(spec_file), "--output", "-"]) == 3
+    assert "unknown method 'copss'" in capsys.readouterr().err
 
 
 _GENERATOR = {"design": "mean", "amplitude": 2.0, "n_total": 200, "taus_star": [100]}

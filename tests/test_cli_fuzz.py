@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from optics_cp import cli  # noqa: E402
 from optics_cp.cli import _read_csv, main  # noqa: E402
 from optics_cp.errors import ParseError  # noqa: E402
 from optics_cp.scores import FAMILIES  # noqa: E402
@@ -299,7 +302,7 @@ def _read_csv_by_line(path):
     """``_read_csv`` as a per-line loop over Python's float(): the oracle for the
     loadtxt-based reader, which must give the same bytes or the same error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
@@ -397,7 +400,24 @@ def test_read_csv_matches_line_by_line_reader(text):
     "1\r\n2\r\n", "1\r2\r3", "y,x\n1,2\n\n \n3,4\n", "1,2\x0b3,4\x0c5,6\n",
     "1,2,\n3,4,\n", "inf\n", "1\nnan\n", "1e999,1\n", "7\n", "1,2\n3\n", "1\n2,3\n",
     "\t1 ,\x0b2\x0c\n", " \n\t\n", "a,b\n", "a,b\n\n  \n", "1\x852\n", "1,2\n3,\x1f4\n",
+    "\ufeff1\n2\n", "\ufeffy\n1\n2\n",
 ])
 def test_read_csv_matches_line_by_line_reader_on_cases(tmp_path, text):
     path = _write(str(tmp_path), text)
     assert _outcome(_read_csv, path) == _outcome(_read_csv_by_line, path)
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 64])
+@pytest.mark.parametrize("header, columns", [("", 1), ("y,x\r\n", 2)])
+def test_read_csv_in_small_batches_matches_line_by_line_reader(tmp_path, monkeypatch, width,
+                                                                header, columns):
+    # loadtxt gets 64 KiB of lines at a time; batches of a few bytes must still
+    # end only at line ends, of every kind, around blank lines.  Any piece of a
+    # digit string is a number, so a batch cut inside a row would add rows
+    monkeypatch.setattr(cli, "_BATCH", re.compile(rb"(?s).{0,%d}[^\n]*\n?" % width))
+    values = np.random.default_rng(width).integers(0, 10**12, (60, columns))
+    ends = itertools.cycle(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\r\r"])
+    text = header + "".join(",".join(map(str, row)) + end for row, end in zip(values.tolist(), ends))
+    path = _write(str(tmp_path), text.rstrip())
+    assert _outcome(_read_csv, path) == _outcome(_read_csv_by_line, path)
+    assert _read_csv(path).tolist() == values.tolist()
