@@ -21,9 +21,7 @@ from .detectors import (
     SEGMENT_NEIGHBORHOOD,
     CostCache,
     DetectorKind,
-    binary_segmentation,
     fit_all_candidates,
-    segment_neighborhood,
 )
 from .errors import (
     ConfigError,
@@ -35,7 +33,7 @@ from .errors import (
     ShapeError,
     SpecError,
 )
-from .ext import HuberConfig, cauchy_combine, h_optics, huber_loss, optics
+from .ext import HuberConfig, cauchy_combine, h_optics, optics
 from .inference import (
     BootstrapConfig,
     ConfidenceSet,
@@ -49,7 +47,7 @@ from .inference import (
     test_statistic,
     xi_matrix,
 )
-from .scores import ScoreModel, ScoreSeries, transform, unvech, vech
+from .scores import ScoreModel, ScoreSeries, transform, vech
 from .sim import (
     PRESETS,
     ExperimentReport,

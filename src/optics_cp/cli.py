@@ -64,8 +64,8 @@ def _read_csv(path: str) -> np.ndarray:
     if ([head] == head.splitlines() and "\ufffd" not in head and _FIRST.match(raw, body)[1]
             and raw.translate(None, _PLAIN) == raw[:body].translate(None, _PLAIN)
             and raw.find(b"_", body) < 0):
-        lines = itertools.chain.from_iterable(
-            m[0].decode().splitlines() for m in _BATCH.finditer(raw, body))
+        lines = itertools.chain.from_iterable(  # loadtxt refuses a line of spaces or tabs
+            filter(str.strip, m[0].decode().splitlines()) for m in _BATCH.finditer(raw, body))
         with contextlib.suppress(ValueError):
             data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             if np.isfinite(data).all():

@@ -6,14 +6,15 @@ the k boundaries.  Binary segmentation splits greedily one boundary at a
 time; the segment-neighborhood dynamic program is exact for every k up
 to a maximum in a single table pass, which it fills in blocks of end
 points with one vectorised step per block and boundary count.  On long
-series each block first drops the groups of boundaries that a lower
+series every block first drops the groups of boundaries that a lower
 bound proves cannot hold a minimum; the tables stay bit for bit those of
-the full pass.  Only the whole series is split by the maximal count, so
-its layer is evaluated at t = n alone, bitwise as the full table would
-hold it.  All segment costs sum their squared distances in one fixed
-order, coordinate by coordinate.
-``fit_all_candidates`` is the one entry that checks feasibility and builds
-segmentations; the single-count fitters return one of its entries.
+the full pass.  Every block takes its rows from a fixed byte budget over
+the columns it keeps.  Only the whole series is split by the maximal
+count, so its layer is evaluated at t = n alone, bitwise as the full
+table would hold it.  All segment costs sum their squared distances in
+one fixed order, coordinate by coordinate.
+``fit_all_candidates`` is the one entry: it checks feasibility and builds
+one segmentation per candidate count.
 
 Ties are broken deterministically toward the smallest boundary position
 so repeated runs produce identical segmentations.
@@ -35,13 +36,11 @@ SEGMENT_NEIGHBORHOOD = "sn"
 # scratch buffers of about this many bytes each, and at most this many rows.
 _SN_BLOCK_BYTES = 1 << 20
 _SN_BLOCK_MAX_ROWS = 64
-# From this many points on (below it the test cost more than it saved), a
+# From this many points on (below it the test cost more than it saved), every
 # block first drops the groups of _SN_GROUP (a power of two) columns that
-# provably hold no minimum.  After a block that drops under a tenth of its
-# columns the test waits 1, 2, 4, ... blocks, at most _SN_PRUNE_PAUSE.
+# provably hold no minimum.
 _SN_PRUNE_FROM = 2000
 _SN_GROUP = 64
-_SN_PRUNE_PAUSE = 16
 
 
 @dataclass(frozen=True)
@@ -156,17 +155,6 @@ def _bs_split_path(cache: CostCache, k_max: int, min_seg: int) -> list[int]:
     return path
 
 
-def binary_segmentation(scores, k: int, min_seg: int = 5) -> Segmentation:
-    """Greedy recursive segmentation with exactly k boundaries.
-
-    At each step the segment and position with the largest SSE reduction
-    are split, subject to ``min_seg``.  The candidate-k entry of
-    ``fit_all_candidates``; raises InfeasibleError when k boundaries
-    cannot be placed.
-    """
-    return fit_all_candidates(scores, CandidateSet(k), DetectorKind(BINARY_SEGMENTATION, min_seg))[k]
-
-
 def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     """Exact DP tables for 0..k_max boundaries.
 
@@ -182,10 +170,10 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
     smallest boundary).  Layer j - 1 of a block is complete before layer j
     reads it, because every boundary s lies below t.  From
     ``_SN_PRUNE_FROM`` points on, C holds only the columns s that
-    ``_sn_live`` cannot rule out, and the block takes its rows from the
-    byte budget over them; the tables are bit for bit those of the full
-    windows.  Scratch is C and a temporary (squared distances, then
-    window) of one ``_SN_BLOCK_BYTES`` each.
+    ``_sn_live`` cannot rule out; the tables are bit for bit those of the
+    full windows.  Every block takes its rows from the byte budget over
+    the columns C holds.  Scratch is C and a temporary (squared
+    distances, then window) of one ``_SN_BLOCK_BYTES`` each.
     """
     n, g = cache.n, _SN_GROUP
     cost = np.full((k_max + 1, n + 1), np.inf)
@@ -208,26 +196,20 @@ def _sn_tables(cache: CostCache, k_max: int, min_seg: int):
             raw = np.nan_to_num(_costs(cache, s, s | (g - 1), -np.inf), copy=False).reshape(-1, g)
         groups = cost[:-1, : width // g * g].reshape(k_max, width // g, g)  # a view
         reach = np.full((k_max, width // g), np.inf)
-    pause, wait, rows, t0 = 0, 0, most, min_seg
+    rows, t0 = most, min_seg
     while t0 <= n:
         rows = min(most, n + 1 - t0, 2 * rows)  # the test's cost grows with its rows
         m, ng = t0 + rows - min_seg, (t0 - min_seg + 1) // g  # ng groups lie below the mask
         cols, starts = every[:m], [j * min_seg for j in range(1, k_max + 1)]
-        if reach is not None and ng and not pause:
+        if reach is not None and ng:
             live = _sn_live(cache, cost, back, every[t0 : t0 + rows], reach[:, :ng])
             keep = np.repeat(live.any(axis=0), g)
             keep[0] = True  # column 0 gives layer 0
             cols = np.concatenate((np.flatnonzero(keep), cols[ng * g :]))
             first = np.where(live.any(axis=1), live.argmax(axis=1), ng) * g
             starts = np.searchsorted(cols, np.maximum(first, starts)).tolist()
-            # after each block that drops under a tenth, the test waits 1, 2, 4, ... blocks
-            pause = wait = min(2 * wait or 1, _SN_PRUNE_PAUSE) if 10 * (m - len(cols)) < m else 0
-        else:
-            pause = max(pause - 1, 0)
-        # rows from the budget over the kept columns, or if it keeps all, over the
-        # full width: more rows on the early, narrow blocks measured slower
-        p = len(cols)
-        cut = rows - min(rows, max(1, _SN_BLOCK_BYTES // (8 * (p if p < m else width))))
+        p = len(cols)  # rows from the budget over the columns kept
+        cut = rows - min(rows, max(1, _SN_BLOCK_BYTES // (8 * p)))
         rows, t1, p, m = rows - cut, t0 + rows - cut, p - cut, m - cut
         cols = cols[:p]  # the columns past the last row's are all at the end
         cv, tv = (a[: rows * p].reshape(rows, p) for a in (cbuf, tmp))
@@ -302,16 +284,6 @@ def _sn_extract(back: np.ndarray, k: int, t: int) -> list[int]:
         t = int(back[j, t])
         taus.append(t)
     return taus[::-1]
-
-
-def segment_neighborhood(scores, k: int, min_seg: int = 5) -> Segmentation:
-    """Exact minimum-SSE segmentation with exactly k boundaries.
-
-    Dynamic program over all admissible boundary placements; O(n^2 k)
-    time with the prefix-sum cache.  The candidate-k entry of
-    ``fit_all_candidates``.
-    """
-    return fit_all_candidates(scores, CandidateSet(k), DetectorKind(SEGMENT_NEIGHBORHOOD, min_seg))[k]
 
 
 def fit_all_candidates(scores, m: CandidateSet, kind: DetectorKind) -> dict[int, Segmentation]:

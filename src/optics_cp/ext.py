@@ -66,19 +66,6 @@ def cauchy_combine(pvals) -> float:
     return float(_cauchy(p[:, None])[1][0])
 
 
-def huber_loss(u, kappa: float):
-    """Huber loss: quadratic inside [-kappa, kappa], linear outside.
-
-    Scalars map to floats; vectors are summed over coordinates.
-    """
-    HuberConfig(kappa=kappa)  # refuses a kappa that is not finite and positive
-    arr = np.asarray(u, dtype=np.float64)
-    vals = _huber_elem(arr, kappa)
-    if arr.ndim == 0:
-        return float(vals)
-    return float(vals.sum())
-
-
 def _huber_elem(x: np.ndarray, kappa: float) -> np.ndarray:
     ax = np.abs(x)
     return np.where(ax <= kappa, 0.5 * (x * x), kappa * ax - 0.5 * (kappa * kappa))

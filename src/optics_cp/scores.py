@@ -89,20 +89,6 @@ def vech(mat: np.ndarray) -> np.ndarray:
     return np.concatenate([mat[j:, j] for j in range(d)])
 
 
-def unvech(v: np.ndarray) -> np.ndarray:
-    """Rebuild the symmetric matrix whose vech is ``v``."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    d = int((np.sqrt(8 * v.size + 1) - 1) / 2)
-    if d * (d + 1) // 2 != v.size:
-        raise ShapeError(f"length {v.size} is not a triangular number")
-    mat = np.zeros((d, d))
-    pos = 0
-    for j in range(d):
-        mat[j:, j] = v[pos : pos + d - j]
-        pos += d - j
-    return mat + np.tril(mat, -1).T
-
-
 def _vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.concatenate([np.arange(j, d) for j in range(d)])
     cols = np.concatenate([np.full(d - j, j) for j in range(d)])

@@ -1,10 +1,12 @@
 import contextlib
 import os
 
+import numpy as np
 import pytest
 
 from optics_cp import blas, sim
 from optics_cp.blas import single_thread as real_pin
+from optics_cp.ext import HuberConfig, _huber_elem
 
 
 @pytest.fixture
@@ -45,3 +47,10 @@ def blas_count():
     """numpy's OpenBLAS thread count now, or None without numpy's bundled OpenBLAS."""
     calls = blas._thread_calls()
     return None if calls is None else calls[0]()
+
+
+def huber_loss(u, kappa: float) -> float:
+    """The Huber loss the robust fit applies, summed over coordinates: the
+    package's per-element rule, with its check of the threshold."""
+    HuberConfig(kappa=kappa)  # refuses a kappa that is not finite and positive
+    return float(_huber_elem(np.asarray(u, dtype=np.float64), kappa).sum())

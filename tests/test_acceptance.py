@@ -22,12 +22,12 @@ from optics_cp import (
     TimeSeries,
     cauchy_combine,
     confidence_set,
+    fit_all_candidates,
     h_optics,
-    huber_loss,
     optics,
     run_experiment,
-    segment_neighborhood,
 )
+from conftest import huber_loss
 
 SEED = 0
 
@@ -92,7 +92,7 @@ def test_criterion_01_exact_detector_matches_brute_force():
         if n < (k + 1) * min_seg:
             k = 1
         arr = rng.standard_normal((n, d))
-        seg = segment_neighborhood(arr, k=k, min_seg=min_seg)
+        seg = fit_all_candidates(arr, CandidateSet(k), DetectorKind("sn", min_seg))[k]
         best_cost, minimizers = np.inf, []
         for taus in itertools.combinations(range(min_seg, n - min_seg + 1), k):
             if np.diff((0,) + taus + (n,)).min() < min_seg:

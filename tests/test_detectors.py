@@ -8,11 +8,14 @@ from optics_cp import (
     CostCache,
     DetectorKind,
     InfeasibleError,
-    binary_segmentation,
     fit_all_candidates,
-    segment_neighborhood,
 )
 from optics_cp.detectors import _costs
+
+
+def fit(kind, scores, k, min_seg):
+    """The segmentation with k boundaries: ``fit_all_candidates``' entry k."""
+    return fit_all_candidates(scores, CandidateSet(k), DetectorKind(kind, min_seg))[k]
 
 
 def direct_sse(arr, a, b):
@@ -63,12 +66,12 @@ def test_segment_cost_matches_direct_sum():
 
 def test_bs_single_obvious_break():
     scores = np.array([0.0, 0.0, 0.0, 2.0, 2.0, 2.0])
-    seg = binary_segmentation(scores, k=1, min_seg=2)
+    seg = fit("bs", scores, 1, 2)
     assert seg.taus == (3,)
 
 
 def test_bs_constant_input_smallest_index():
-    seg = binary_segmentation(np.zeros(12), k=1, min_seg=3)
+    seg = fit("bs", np.zeros(12), 1, 3)
     assert seg.taus == (3,)
 
 
@@ -76,20 +79,20 @@ def test_bs_matches_sn_for_single_break():
     rng = np.random.default_rng(1)
     for trial in range(20):
         arr = rng.standard_normal(30)
-        bs = binary_segmentation(arr, k=1, min_seg=3)
-        sn = segment_neighborhood(arr, k=1, min_seg=3)
+        bs = fit("bs", arr, 1, 3)
+        sn = fit("sn", arr, 1, 3)
         assert bs.taus == sn.taus, trial
 
 
 def test_bs_infeasible():
     with pytest.raises(InfeasibleError):
-        binary_segmentation(np.zeros(10), k=3, min_seg=3)
+        fit("bs", np.zeros(10), 3, 3)
 
 
 def test_sn_simple_exact_fits():
-    seg = segment_neighborhood(np.array([0.0, 0, 0, 1, 1, 1]), k=1, min_seg=2)
+    seg = fit("sn", np.array([0.0, 0, 0, 1, 1, 1]), 1, 2)
     assert seg.taus == (3,)
-    seg = segment_neighborhood(np.array([0.0, 0, 1, 1, 0, 0]), k=2, min_seg=2)
+    seg = fit("sn", np.array([0.0, 0, 1, 1, 0, 0]), 2, 2)
     assert seg.taus == (2, 4)
 
 
@@ -101,7 +104,7 @@ def test_sn_matches_brute_force():
         k = int(rng.integers(1, 4))
         if n < (k + 1) * 2:
             continue
-        seg = segment_neighborhood(arr, k=k, min_seg=2)
+        seg = fit("sn", arr, k, 2)
         bf_cost, bf_taus = brute_force_min(arr, k, 2)
         sn_cost = total_cost(arr, seg.taus, n)
         assert sn_cost == pytest.approx(bf_cost, rel=1e-9, abs=1e-9)
@@ -110,7 +113,7 @@ def test_sn_matches_brute_force():
 def test_sn_exhaustive_pairs_small_instance():
     rng = np.random.default_rng(3)
     arr = rng.standard_normal(14)
-    seg = segment_neighborhood(arr, k=2, min_seg=2)
+    seg = fit("sn", arr, 2, 2)
     bf_cost, bf_taus = brute_force_min(arr, 2, 2)
     assert total_cost(arr, seg.taus, 14) == pytest.approx(bf_cost, rel=1e-9)
 
@@ -135,8 +138,8 @@ def test_sn_never_worse_than_bs():
     for trial in range(100):
         arr = rng.standard_normal(36)
         k = int(rng.integers(1, 4))
-        sn = segment_neighborhood(arr, k=k, min_seg=3)
-        bs = binary_segmentation(arr, k=k, min_seg=3)
+        sn = fit("sn", arr, k, 3)
+        bs = fit("bs", arr, k, 3)
         assert (
             total_cost(arr, sn.taus, 36)
             <= total_cost(arr, bs.taus, 36) + 1e-9
@@ -247,14 +250,14 @@ def test_blocked_sn_tables_match_per_t_reference(monkeypatch, prune_always, kind
     from optics_cp.detectors import _sn_tables
 
     rng = np.random.default_rng([d_p, min_seg, len(kind)])
+    default = detectors._SN_BLOCK_MAX_ROWS
     for n, k_max in ((4 * min_seg + 1, 3), (131, 9), (203, 5)):
         cache = CostCache.from_scores(_dp_data(kind, n, d_p, rng))
         want = _sn_tables_per_t(cache, k_max, min_seg)
-        width = n + 1 - min_seg
-        # one row per block; rows just under, at and over min_seg; the default
-        for rows in (1, min_seg - 1, min_seg, min_seg + 1, 7, None):
-            budget = 8 * width * rows if rows else 1 << 20
-            monkeypatch.setattr(detectors, "_SN_BLOCK_BYTES", budget)
+        # one row per block; rows just under, at and over min_seg; the default.  The
+        # byte budget holds more rows of these widths, so every block has them all
+        for rows in (1, min_seg - 1, min_seg, min_seg + 1, 7, default):
+            monkeypatch.setattr(detectors, "_SN_BLOCK_MAX_ROWS", rows)
             cost, back = _sn_tables(cache, k_max, min_seg)
             assert np.array_equal(cost, want[0]), (n, k_max, rows)
             assert np.array_equal(back, want[1]), (n, k_max, rows)
@@ -283,8 +286,33 @@ def test_pruned_sn_tables_match_per_t_reference_on_steps(monkeypatch, prune_alwa
             assert np.array_equal(back, want[1]), (n, k_max, rows, most)
 
 
+@pytest.mark.parametrize("d_p", [1, 2])
+def test_sn_tables_test_every_block_of_noise_and_match_per_t_reference(monkeypatch, d_p):
+    # pure noise at the default crossover, where the bound drops few groups: every
+    # block that starts with a whole group below its rows is tested.  The first of
+    # them starts within _SN_BLOCK_MAX_ROWS end points of ``first``, and each has
+    # at most that many rows, which bounds the number of tests from below
+    from optics_cp import detectors
+
+    n, k_max, min_seg = 2500, 6, 5
+    assert n >= detectors._SN_PRUNE_FROM
+    cache = CostCache.from_scores(np.random.default_rng([d_p, 9]).standard_normal((n, d_p)))
+    live, tested = detectors._sn_live, []
+
+    def counting(*args):
+        tested.append(args[3][0])
+        return live(*args)
+
+    monkeypatch.setattr(detectors, "_sn_live", counting)
+    cost, back = detectors._sn_tables(cache, k_max, min_seg)
+    first = detectors._SN_GROUP + min_seg - 1  # the first end point with a group below
+    assert len(tested) >= (n - first) // detectors._SN_BLOCK_MAX_ROWS
+    want = _sn_tables_per_t(cache, k_max, min_seg)
+    assert np.array_equal(cost, want[0]) and np.array_equal(back, want[1])
+
+
 def test_sn_tables_prune_most_cells_of_steps(monkeypatch):
-    # at the default crossover and pause: a bound that never fires, or a test
+    # at the default crossover: a bound that never fires, or a test
     # that never runs, would keep every window cell, and a group's least
     # cost[j - 1] plus its least C(s, u) in place of their least sum keeps 29%
     from optics_cp import detectors

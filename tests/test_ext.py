@@ -10,9 +10,9 @@ from optics_cp import (
     TimeSeries,
     cauchy_combine,
     h_optics,
-    huber_loss,
     optics,
 )
+from conftest import huber_loss
 
 
 def test_cauchy_single_pvalue_is_identity():

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from optics_cp import DomainError, ScoreModel, ShapeError, TimeSeries, transform
-from optics_cp.scores import unvech, vech
+from optics_cp.scores import vech
+
+
+def unvech(v):
+    """The symmetric matrix whose vech is ``v``: the inverse of ``vech``."""
+    d = int((np.sqrt(8 * len(v) + 1) - 1) / 2)
+    mat = np.zeros((d, d))
+    mat[np.triu_indices(d)] = v  # row-major upper triangle = column-major lower triangle
+    return mat + np.triu(mat, 1).T
 
 
 def test_mean_transform_is_identity():
