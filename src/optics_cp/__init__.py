@@ -47,7 +47,7 @@ from .inference import (
     test_statistic,
     xi_matrix,
 )
-from .scores import ScoreModel, ScoreSeries, transform, vech
+from .scores import ScoreModel, ScoreSeries, transform
 from .sim import (
     PRESETS,
     ExperimentReport,

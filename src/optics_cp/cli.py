@@ -8,6 +8,7 @@ import contextlib
 import itertools
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -198,8 +199,12 @@ def _run_analyze(args) -> int:
     else:
         ts = TimeSeries(data)
 
-    # network columns are expected pre-flattened (vech already applied),
-    # so the pipeline consumes them directly as scores
+    # network columns are already the vech of a symmetric d x d adjacency, so the
+    # pipeline takes them as mean scores; their count must be d(d+1)/2, d >= 2
+    width = data.shape[1]
+    if args.model == NETWORK and (width < 3 or math.isqrt(8 * width + 1) ** 2 != 8 * width + 1):
+        raise ShapeError(f"network input needs d(d+1)/2 columns for a side d >= 2 "
+                         f"(3, 6, 10, ...), got {width}")
     family = MEAN if args.model == NETWORK else args.model
     model = ScoreModel(family)
 
@@ -441,15 +446,11 @@ def main(argv=None) -> int:
         if args.spec is None and args.preset is None:
             raise ConfigError("simulate needs --preset or --spec")
         return _run_simulate(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except OpticsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_INFEASIBLE
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

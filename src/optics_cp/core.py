@@ -30,13 +30,8 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def data_matrix(obj) -> np.ndarray:
-    """The (n, d) float64 array behind a series wrapper or a raw array."""
-    if isinstance(obj, np.ndarray):
-        return _as_matrix(obj)
-    inner = getattr(obj, "data", None)
-    if isinstance(inner, np.ndarray):
-        return inner
-    return _as_matrix(obj)
+    """The (n, d) float64 array behind a series or a raw array."""
+    return obj.data if isinstance(obj, TimeSeries) else _as_matrix(obj)
 
 
 @dataclass(frozen=True)
@@ -143,13 +138,6 @@ def split_like(arr: np.ndarray, L: int) -> list[np.ndarray]:
     return [arr[r::L][:m] for r in range(L)]
 
 
-def parity_split(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Odd- and even-position halves (1-based) of an array's rows; an odd
-    final row is dropped."""
-    odd, even = split_like(arr, 2)
-    return odd, even
-
-
 def odd_even_split(ts: TimeSeries) -> SplitPair:
     """Split a series into its odd- and even-position halves.
 
@@ -160,7 +148,7 @@ def odd_even_split(ts: TimeSeries) -> SplitPair:
         raise LengthError(f"need at least 4 observations to split, got {ts.n}")
     if ts.n % 2 == 1:
         logger.warning("odd-length input: dropping final observation %d", ts.n)
-    odd, even = parity_split(ts.data)
+    odd, even = split_like(ts.data, 2)
     return SplitPair(odd=TimeSeries(odd), even=TimeSeries(even), n=odd.shape[0])
 
 

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import CandidateSet, TimeSeries, order_preserving_l_split, parity_split, split_like
+from .core import CandidateSet, TimeSeries, order_preserving_l_split, split_like
 from .detectors import DetectorKind
 from .errors import ConfigError
 from .inference import (
@@ -116,7 +116,7 @@ def optics(
         if huber is not None:
             kappa = huber.kappa
             if huber.adaptive:
-                kappa = _adaptive_kappa(parity_split(scores.data)[1], huber.kappa)
+                kappa = _adaptive_kappa(split_like(scores.data, 2)[1], huber.kappa)
             row_fit = partial(_huber_rows, kappa=kappa)
         return run_on_scores(scores, kind, m, alpha, cfg, row_fit)
 

@@ -48,7 +48,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import blas
-from .core import CandidateSet, Segmentation, data_matrix, parity_split, segment_mean_map
+from .core import CandidateSet, Segmentation, data_matrix, segment_mean_map, split_like
 from .detectors import DetectorKind, fit_all_candidates
 from .errors import ConfigError, DomainError, LengthError, ShapeError
 from .scores import ScoreSeries
@@ -376,7 +376,7 @@ def run_on_scores(
     """
     if scores.n < 4:
         raise LengthError(f"need at least 4 points to split, got {scores.n}")
-    odd, even = parity_split(scores.data)
+    odd, even = split_like(scores.data, 2)
     n = odd.shape[0]
     segs = fit_all_candidates(odd, m, kind)
     candidates = tuple(sorted(segs))

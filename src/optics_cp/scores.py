@@ -8,10 +8,13 @@ a change in the mean of the score sequence:
     variance    s = log(z^2)            (scalar model)
     regression  s = y * (1, x')'        (response y, covariates x)
     covariance  s = vech(z z')
-    network     s = vech(Z)             (Z a symmetric d x d adjacency)
+    network     s = vech(Z)             (Z a symmetric d x d adjacency, one
+                                         row-major flattened matrix per row)
 
 vech stacks the lower triangle of a symmetric matrix column by column,
-diagonal included.
+diagonal included; both vech families fill their scores that way, one
+column at a time.  Every transform returns a ScoreSeries: a TimeSeries
+whose values are all finite.
 """
 
 from __future__ import annotations
@@ -42,57 +45,17 @@ class ScoreModel:
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
 
-    def score_dim(self, d: int) -> int:
-        """Score dimension produced from d-dimensional input."""
-        if self.family == MEAN:
-            return d
-        if self.family == VARIANCE:
-            return 1
-        if self.family == REGRESSION:
-            return d + 1
-        # covariance and network both emit vech of a symmetric d x d matrix
-        return d * (d + 1) // 2
-
 
 @dataclass(frozen=True)
-class ScoreSeries:
-    """A sequence of score vectors; all inference runs on these."""
-
-    data: np.ndarray
+class ScoreSeries(TimeSeries):
+    """A series of finite score vectors; all inference runs on these."""
 
     def __post_init__(self):
-        arr = _as_matrix(self.data)
-        if not np.all(np.isfinite(arr)):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.data)):
             raise ConfigError("score series contains non-finite values")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
 
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d_p(self) -> int:
-        return self.data.shape[1]
-
-    def __len__(self) -> int:
-        return self.n
-
-
-def vech(mat: np.ndarray) -> np.ndarray:
-    """Column-stacked lower triangle of a square matrix, diagonal included."""
-    mat = np.asarray(mat, dtype=np.float64)
-    d = mat.shape[0]
-    if mat.shape != (d, d):
-        raise ShapeError(f"vech expects a square matrix, got shape {mat.shape}")
-    return np.concatenate([mat[j:, j] for j in range(d)])
-
-
-def _vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.concatenate([np.arange(j, d) for j in range(d)])
-    cols = np.concatenate([np.full(d - j, j) for j in range(d)])
-    return rows, cols
+    d_p = TimeSeries.d
 
 
 def _formed_scores(scores: np.ndarray, model: ScoreModel, *inputs: np.ndarray) -> ScoreSeries:
@@ -147,28 +110,33 @@ def transform(ts: TimeSeries, model: ScoreModel, covariates: np.ndarray | None =
             products = y[:, None] * x
         return _formed_scores(np.column_stack([y, products]), model, z, x)
 
+    # covariance and network rows become vech of a symmetric d x d matrix, one
+    # column of its lower triangle at a time straight into the output: no
+    # (n, d, d) outer products and no gathered copies of z
     if model.family == COVARIANCE:
-        if ts.d < 2:
-            raise ShapeError(f"covariance scores require d >= 2, got d={ts.d}")
-        # vech(z z') one column of the lower triangle at a time, straight into
-        # the output: no (n, d, d) outer products and no gathered copies of z
-        out = np.empty((ts.n, model.score_dim(ts.d)))
-        pos = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(ts.d):
-                np.multiply(z[:, j:], z[:, j : j + 1], out=out[:, pos : pos + ts.d - j])
-                pos += ts.d - j
-        return _formed_scores(out, model, z)
+        d = ts.d
+        if d < 2:
+            raise ShapeError(f"covariance scores require d >= 2, got d={d}")
 
-    # network: each row is a flattened symmetric d x d matrix
-    side = int(round(np.sqrt(ts.d)))
-    if side * side != ts.d or side < 2:
-        raise ShapeError(
-            f"network observations must be flattened square matrices with side >= 2, "
-            f"got row length {ts.d}"
-        )
-    mats = z.reshape(ts.n, side, side)
-    if not np.allclose(mats, np.transpose(mats, (0, 2, 1)), atol=1e-8):
-        raise ShapeError("network adjacency matrices must be symmetric")
-    rows, cols = _vech_indices(side)
-    return ScoreSeries(mats[:, rows, cols])
+        def column(j, out):
+            np.multiply(z[:, j:], z[:, j : j + 1], out=out)
+    else:  # network: each row is a flattened symmetric d x d matrix
+        d = int(round(np.sqrt(ts.d)))
+        if d * d != ts.d or d < 2:
+            raise ShapeError(
+                f"network observations must be flattened square matrices with side >= 2, "
+                f"got row length {ts.d}"
+            )
+        mats = z.reshape(ts.n, d, d)
+        if not np.allclose(mats, np.transpose(mats, (0, 2, 1)), atol=1e-8):
+            raise ShapeError("network adjacency matrices must be symmetric")
+
+        def column(j, out):
+            out[...] = mats[:, j:, j]
+    out = np.empty((ts.n, d * (d + 1) // 2))
+    pos = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            column(j, out[:, pos : pos + d - j])
+            pos += d - j
+    return _formed_scores(out, model, z)

@@ -260,6 +260,17 @@ def test_analyze_domain_error_exit_4(tmp_path):
     assert main(["analyze", "--input", str(csv), "--model", "variance"]) == 4
 
 
+@pytest.mark.parametrize("width,code", [(2, 3), (4, 3), (3, 0), (6, 0)])
+def test_analyze_network_needs_a_vech_width(tmp_path, capsys, width, code):
+    # network columns are vech of a d x d adjacency: d(d+1)/2 of them for d >= 2
+    csv = tmp_path / "net.csv"
+    np.savetxt(csv, np.random.default_rng(width).standard_normal((200, width)), delimiter=",")
+    assert main(["analyze", "--input", str(csv), "--model", "network", "--B", "50",
+                 "--output", str(tmp_path / "net.json")]) == code
+    if code:
+        assert f"got {width}" in capsys.readouterr().err
+
+
 def test_analyze_stdout_dash(tmp_path, capsys):
     csv = write_mean_csv(tmp_path / "data.csv")
     assert main(["analyze", "--input", str(csv), "--B", "100",

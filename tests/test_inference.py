@@ -558,11 +558,11 @@ _ROW_FITS = {
 def _per_candidate_chain(scores, kind, m, cfg, row_fit):
     """p_hat, t_stat and delta_hat from the public per-candidate calls: each
     candidate's XiMatrix against all rivals, its statistic and its p-value."""
-    from optics_cp.core import parity_split
+    from optics_cp.core import split_like
     from optics_cp.detectors import fit_all_candidates
     from optics_cp.inference import _fit_rows, _xi_from_fits
 
-    odd, even = parity_split(scores.data)
+    odd, even = split_like(scores.data, 2)
     segs = fit_all_candidates(odd, m, kind)
     cands = sorted(segs)
     p_hat, t_stat, delta = [], [], []

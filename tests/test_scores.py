@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
 
-from optics_cp import DomainError, ScoreModel, ShapeError, TimeSeries, transform
-from optics_cp.scores import vech
+from optics_cp import (
+    ConfigError,
+    DomainError,
+    LengthError,
+    ScoreModel,
+    ScoreSeries,
+    ShapeError,
+    TimeSeries,
+    transform,
+)
+
+
+def vech(mat):
+    """Column-stacked lower triangle of a square matrix, diagonal included."""
+    return np.concatenate([mat[j:, j] for j in range(mat.shape[0])])
 
 
 def unvech(v):
@@ -77,13 +90,10 @@ def test_covariance_transform_example():
 
 
 def test_covariance_transform_equals_outer_product_vech():
-    from optics_cp.scores import _vech_indices
-
     rng = np.random.default_rng(11)
     for n, d in ((7, 2), (50, 5), (33, 12)):
         z = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
-        rows, cols = _vech_indices(d)
-        want = (z[:, :, None] * z[:, None, :])[:, rows, cols]
+        want = np.array([vech(np.outer(row, row)) for row in z])
         out = transform(TimeSeries(z), ScoreModel("covariance"))
         assert np.array_equal(out.data, want)
 
@@ -109,6 +119,15 @@ def test_network_transform_vechs_flattened_matrix():
     data = np.tile(mat.ravel(), (3, 1))
     out = transform(TimeSeries(data), ScoreModel("network"))
     assert out.data[0].tolist() == [0.0, 1.0, 0.5]
+
+
+def test_network_transform_equals_vech_of_each_matrix():
+    rng = np.random.default_rng(13)
+    for d in range(2, 7):
+        mats = rng.standard_normal((9, d, d))
+        mats = mats + np.transpose(mats, (0, 2, 1))
+        out = transform(TimeSeries(mats.reshape(9, d * d)), ScoreModel("network"))
+        assert np.array_equal(out.data, np.array([vech(m) for m in mats]))
 
 
 def test_network_rejects_asymmetric():
@@ -145,6 +164,24 @@ def test_score_dimensions_by_family():
             mats = mats + np.transpose(mats, (0, 2, 1))
             net = TimeSeries(mats.reshape(8, d * d))
             assert transform(net, ScoreModel("network")).d_p == d * (d + 1) // 2
+
+
+@pytest.mark.parametrize("data,error", [
+    (np.zeros((1, 2)), LengthError),
+    (np.zeros((3, 0)), ShapeError),
+    (np.array([1.0, np.nan, 2.0]), ConfigError),
+])
+def test_score_series_refuses_what_a_time_series_refuses_and_non_finite_values(data, error):
+    with pytest.raises(error):
+        ScoreSeries(data)
+
+
+@pytest.mark.parametrize("family", ["mean", "variance", "covariance"])
+def test_transform_output_is_a_time_series(family):
+    out = transform(TimeSeries(np.arange(1.0, 9.0).reshape(4, 2)), ScoreModel(family))
+    assert isinstance(out, ScoreSeries) and isinstance(out, TimeSeries)
+    assert out.d_p == out.d and len(out) == out.n == 4
+    assert not out.data.flags.writeable
 
 
 def test_unknown_family_rejected():
