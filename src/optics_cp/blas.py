@@ -1,5 +1,4 @@
-"""The one pin of numpy's OpenBLAS to a single thread, shared by the package,
-and the parallel section (``run``) that spends the T threads it finds.
+"""The one pin of numpy's OpenBLAS to a single thread, shared by the package.
 
 GEMM results can differ in their last bits between BLAS thread counts, so
 the bootstrap and every Monte Carlo run multiply on one BLAS thread.  The
@@ -83,48 +82,3 @@ def _fresh_lock() -> None:
 if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
     os.register_at_fork(after_in_child=_fresh_lock)
 
-
-def place(i: int) -> None:
-    """Move the calling thread to the i-th CPU (cyclically) of its affinity mask
-    and restore the mask at once: a start position, not a pin, which keeps a
-    user's mask.  A no-op where the platform has no ``os.sched_setaffinity``."""
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
-    if len(mask) > 1:
-        with contextlib.suppress(OSError):  # the CPUs changed meanwhile; it only saves time
-            os.sched_setaffinity(0, {sorted(mask)[i % len(mask)]})
-            os.sched_setaffinity(0, mask)
-
-
-def run(jobs: list, stop) -> None:
-    """Run jobs[0] here and each other job in a daemon thread, all placed on
-    CPUs of their own when there are two or more (unplaced, two threads were
-    seen to share one CPU of a 2-vCPU guest).  The first error of any job,
-    an interrupt too, calls ``stop`` to end the others after their current
-    step, and is raised once no thread runs, through any further interrupt."""
-    errors = []
-
-    def work(i):
-        try:
-            if len(jobs) > 1:
-                place(i)
-            jobs[i]()
-        except BaseException as exc:  # re-raised below, once every thread has ended
-            errors.append(exc)
-            stop()
-
-    helpers = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, len(jobs))]
-    interrupt = None
-    try:
-        for t in helpers:
-            t.start()
-        work(0)
-    finally:
-        stop()
-        for t in helpers:  # a second Ctrl-C must not leave a helper inside numpy
-            while t.is_alive():
-                try:
-                    t.join()
-                except KeyboardInterrupt as exc:
-                    interrupt = interrupt or exc
-    if interrupt is not None or errors:
-        raise interrupt or errors[0]

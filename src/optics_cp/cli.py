@@ -409,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--seed", type=int, default=None, help="falls back to OPTICS_SEED, then 0")
     pa.add_argument("--min-seg", dest="min_seg", type=int, default=5)
     pa.add_argument("--threads", type=int, default=1,
-                    help="must be >= 1; ignored: an analysis runs in one process")
+                    help="must be >= 1; ignored: the bootstrap takes its threads from numpy's BLAS")
     pa.add_argument("--output", default="-", help="output path, '-' for stdout")
     pa.add_argument("--format", choices=["json", "csv"], default="json")
 

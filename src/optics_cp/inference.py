@@ -28,9 +28,9 @@ Numerical determinism: the studentized ratios are snapped to a fixed
 when all scores are rescaled by a positive constant.  Multipliers for
 replicate b come from a Philox counter stream keyed by (seed, b).  The
 bootstrap pins numpy's OpenBLAS to one thread and shares chunks of
-replicates out over the T threads it had (``blas.run``); every chunk has
-one shape at any T, so the p-values depend neither on T nor on
-``OPENBLAS_NUM_THREADS``.  A chunk is multiplied one column slice at a
+replicates out over the T threads it had, the caller and T - 1 helpers;
+every chunk has one shape at any T, so the p-values depend neither on T
+nor on ``OPENBLAS_NUM_THREADS``.  A chunk is multiplied one column slice at a
 time, one product per slice summed over the slices.  The p-values can
 still depend on the BLAS build and on the chunk and slice shape, through
 the last bits of the products.
@@ -292,53 +292,69 @@ def _bootstrap(stud: np.ndarray, gather: np.ndarray, t_obs: np.ndarray, cfg: Boo
     starts = range(0, b_reps, reps)
     tickets = itertools.count()  # the next chunk to take; next() on it is atomic
     stop = threading.Event()
-    results = []
+    results, errors = [], []
 
     def count_chunks():
-        # this thread's tile buffer, generators and counts
-        counts = np.zeros(len(t_obs), dtype=np.int64)
-        if cfg.injected is None:
-            buf = np.empty(reps * max(widths))
-            views = {w: list(buf[: reps * w].reshape(reps, w)) for w in widths}  # rows, built once
-            # a generator is re-keyed to (seed, b) with a zero counter and an empty
-            # buffer at replicate b's first slice, the stream of a fresh
-            # Philox(key=(seed, b)), and carries it on to b's later slices: one
-            # generator per replicate of a chunk, or one in all for a single slice
-            gens = [np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-                    for _ in range(reps if len(slices) > 1 else 1)]
-            state = gens[0].bit_generator.state
-            # Python ints, which the state setter reads faster than arrays
-            state["state"] = {k: v.tolist() for k, v in state["state"].items()}
-            state["buffer"] = state["buffer"].tolist()
-            key = state["state"]["key"]
-        while not stop.is_set() and (i := next(tickets)) < len(starts):
-            lo = starts[i]
-            c = min(reps, b_reps - lo)
-            acc = None
-            for a, b in slices:
-                if cfg.injected is not None:
-                    tile = cfg.injected[lo : lo + c, a:b]
-                else:
-                    tile = buf[: c * (b - a)].reshape(c, b - a)
-                    for j, row in zip(range(c), views[b - a]):
-                        gen = gens[j % len(gens)]
-                        if a == 0:
-                            key[1] = lo + j
-                            gen.bit_generator.state = state
-                        gen.standard_normal(out=row)
-                part = stud[:, a:b] @ tile.T
-                acc = part if acc is None else np.add(acc, part, out=acc)
-            t_sharp = _signed(acc / math.sqrt(n), gather).max(axis=1)
-            counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
-        results.append(counts)
+        try:
+            # this thread's tile buffer with its rows built once, generators and counts
+            counts = np.zeros(len(t_obs), dtype=np.int64)
+            if cfg.injected is None:
+                buf = np.empty(reps * max(widths))
+                views = {w: list(buf[: reps * w].reshape(reps, w)) for w in widths}
+                # a generator is re-keyed to (seed, b) with a zero counter and an empty
+                # buffer at replicate b's first slice, the stream of a fresh
+                # Philox(key=(seed, b)), and carries it on to b's later slices: one
+                # generator per replicate of a chunk, or one in all for a single slice
+                gens = [np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
+                        for _ in range(reps if len(slices) > 1 else 1)]
+                state = gens[0].bit_generator.state
+                # Python ints, which the state setter reads faster than arrays
+                state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+                state["buffer"] = state["buffer"].tolist()
+                key = state["state"]["key"]
+            while not stop.is_set() and (i := next(tickets)) < len(starts):
+                lo = starts[i]
+                c = min(reps, b_reps - lo)
+                acc = None
+                for a, b in slices:
+                    if cfg.injected is not None:
+                        tile = cfg.injected[lo : lo + c, a:b]
+                    else:
+                        tile = buf[: c * (b - a)].reshape(c, b - a)
+                        for j, row in zip(range(c), views[b - a]):
+                            gen = gens[j % len(gens)]
+                            if a == 0:
+                                key[1] = lo + j
+                                gen.bit_generator.state = state
+                            gen.standard_normal(out=row)
+                    part = stud[:, a:b] @ tile.T
+                    acc = part if acc is None else np.add(acc, part, out=acc)
+                t_sharp = _signed(acc / math.sqrt(n), gather).max(axis=1)
+                counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
+            results.append(counts)
+        except BaseException as exc:  # re-raised by the caller once no thread runs
+            errors.append(exc)
+            stop.set()
 
-    # the caller and up to T - 1 helpers share the chunks, T being numpy's BLAS
-    # thread count, as far as the buffer budget allows; each multiplies on one
-    # BLAS thread, and every chunk has the same shape at any T, so the counts
-    # do not depend on T
-    budget = max(1, _BUFFERS_BYTES // (8 * reps * max(widths)))
+    # the caller and up to T - 1 helpers, T being numpy's BLAS thread count
+    budget = _BUFFERS_BYTES // (8 * reps * max(widths))
     with blas.single_thread() as threads:
-        blas.run([count_chunks] * min(threads, len(starts), budget), stop.set)
+        helpers = [threading.Thread(target=count_chunks, daemon=True)
+                   for _ in range(min(threads, len(starts), budget) - 1)]
+        try:
+            for t in helpers:
+                t.start()
+            count_chunks()
+        finally:
+            stop.set()
+            for t in helpers:  # a second Ctrl-C must not leave a helper inside numpy
+                while t.is_alive():
+                    try:
+                        t.join()
+                    except KeyboardInterrupt as exc:
+                        errors.insert(0, exc)  # raised before any error of a thread
+    if errors:
+        raise errors[0]
     return sum(results) / b_reps
 
 
@@ -349,10 +365,14 @@ def bootstrap_pvalue(xm: XiMatrix, cfg: BootstrapConfig) -> float:
     return float(_bootstrap(xm.studentized, gather, np.array([test_statistic(xm)]), cfg, xm.n)[0])
 
 
-def confidence_set(table: PValueTable, alpha: float) -> ConfidenceSet:
-    """Threshold the table at alpha, retaining the best candidate if all fail."""
+def _check_alpha(alpha: float) -> None:
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def confidence_set(table: PValueTable, alpha: float) -> ConfidenceSet:
+    """Threshold the table at alpha, retaining the best candidate if all fail."""
+    _check_alpha(alpha)
     members = tuple(k for k, p in zip(table.candidates, table.p_hat) if p > alpha)
     if members:
         return ConfidenceSet(alpha=alpha, members=members)
@@ -374,6 +394,7 @@ def run_on_scores(
     the default is the squared norm.  Robust variants substitute their
     own measure here and inherit everything else unchanged.
     """
+    _check_alpha(alpha)  # before the fits, which take most of the time
     if scores.n < 4:
         raise LengthError(f"need at least 4 points to split, got {scores.n}")
     odd, even = split_like(scores.data, 2)

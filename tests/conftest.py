@@ -20,9 +20,9 @@ def fresh_pool():
 
 @pytest.fixture
 def force_threads(monkeypatch):
-    """``force_threads(t)`` makes the package's parallel section, the bootstrap,
-    find ``t`` BLAS threads, whatever the machine has; it still pins BLAS
-    through the real helper."""
+    """``force_threads(t)`` makes the bootstrap, which runs on as many threads
+    as numpy's BLAS had, find ``t`` BLAS threads, whatever the machine has; it
+    still pins BLAS through the real helper."""
     def force(threads):
         @contextlib.contextmanager
         def pinned():

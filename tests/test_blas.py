@@ -84,52 +84,3 @@ def test_without_openblas_nothing_is_pinned(monkeypatch):
     with blas.single_thread() as found:
         assert found == 1
 
-
-# --- thread placement and the parallel sections ------------------------------------
-
-def _affinity():
-    if not hasattr(os, "sched_getaffinity"):
-        pytest.skip("no CPU affinity on this platform")
-    return os.sched_getaffinity(0)
-
-
-def test_placement_moves_each_thread_once_and_keeps_the_mask(monkeypatch):
-    mask = _affinity()
-    real = os.sched_setaffinity
-    calls = []
-
-    def spy(pid, cpus):
-        calls.append((threading.get_ident(), set(cpus)))
-        real(pid, cpus)
-
-    monkeypatch.setattr(os, "sched_setaffinity", spy)
-    seen = []
-    blas.run([lambda: seen.append(os.sched_getaffinity(0))] * 2, lambda: None)
-    assert seen == [mask, mask] and os.sched_getaffinity(0) == mask
-    if len(mask) < 2:
-        assert calls == []  # one CPU: nothing to place
-        return
-    # each thread moves to a CPU of its own, then restores its mask at once
-    by_thread = {}
-    for ident, cpus in calls:
-        by_thread.setdefault(ident, []).append(cpus)
-    assert len(by_thread) == 2
-    firsts = [moves[0] for moves in by_thread.values()]
-    assert all(len(cpus) == 1 and cpus <= mask for cpus in firsts)
-    assert firsts[0] != firsts[1]
-    assert all(moves == [moves[0], mask] for moves in by_thread.values())
-
-
-def test_one_job_is_not_placed(monkeypatch):
-    monkeypatch.setattr(blas, "place", lambda i: pytest.fail("a lone thread was placed"))
-    seen = []
-    blas.run([lambda: seen.append(threading.get_ident())], lambda: None)
-    assert seen == [threading.get_ident()]
-
-
-def test_placement_is_a_no_op_without_sched_setaffinity(monkeypatch):
-    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-    blas.place(1)
-    seen = []
-    blas.run([lambda: seen.append(0), lambda: seen.append(1)], lambda: None)
-    assert sorted(seen) == [0, 1]

@@ -733,6 +733,16 @@ def test_analyze_bad_setting_is_config_error_exit_3(tmp_path, capsys, argv, mess
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("alpha", ["0", "1.5"])
+def test_analyze_bad_alpha_exits_3_before_any_fit(tmp_path, capsys, monkeypatch, alpha):
+    # the level is refused before the detector and the bootstrap run, not after them
+    monkeypatch.setattr("optics_cp.inference.fit_all_candidates",
+                        lambda *args: pytest.fail("a candidate was fitted before alpha was checked"))
+    csv = write_mean_csv(tmp_path / "data.csv", n_obs=100)
+    assert main(["analyze", "--input", str(csv), "--output", "-", "--alpha", alpha]) == 3
+    assert capsys.readouterr().err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
+
+
 def test_internal_value_error_is_not_reported_as_exit_3(monkeypatch):
     # only the package's own errors map to exit codes; anything else is a bug
     def broken(args):

@@ -668,23 +668,39 @@ def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, for
     assert 0 < np.frombuffer(results[1, 3, 1, 1]).sum() < len(t_obs)  # counts neither all nor none
 
 
-def test_threaded_bootstrap_bit_equal_with_and_without_placement(monkeypatch, force_threads):
-    # each thread starts on its own CPU, which must not move a count
-    from optics_cp import blas, inference
+def test_one_thread_bootstrap_starts_no_thread(monkeypatch, force_threads):
+    # at T = 1 the caller takes every chunk itself, with the bytes of T = 3
+    import threading
+
+    from optics_cp import inference
 
     monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF * 5)
     stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=130, seed=3)
-    placed = []
-    real_place = blas.place
-    monkeypatch.setattr(blas, "place", lambda i: (placed.append(i), real_place(i)))
-    force_threads(2)
+    force_threads(3)
     want = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
-    assert sorted(placed) == [0, 1]
-    monkeypatch.setattr(blas, "place", lambda i: None)
-    assert inference._bootstrap(stud, gather, t_obs, cfg, _HALF).tobytes() == want.tobytes()
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
     force_threads(1)
     assert inference._bootstrap(stud, gather, t_obs, cfg, _HALF).tobytes() == want.tobytes()
+
+
+def test_threaded_bootstrap_leaves_the_cpu_affinity_alone(monkeypatch, force_threads):
+    # no thread of the bootstrap moves itself to another CPU, so a taskset mask
+    # and the scheduler's choice both stand
+    import os
+
+    from optics_cp import inference
+
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    mask = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda *args: pytest.fail("the bootstrap changed a CPU affinity"))
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF * 5)
+    stud, gather, t_obs = _rows()
+    force_threads(2)
+    inference._bootstrap(stud, gather, t_obs, BootstrapConfig(b_reps=130, seed=3), _HALF)
+    assert os.sched_getaffinity(0) == mask
 
 
 def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch, force_threads):

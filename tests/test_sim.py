@@ -6,6 +6,7 @@ import pytest
 
 from optics_cp import (
     PRESETS,
+    ConfigError,
     DetectorKind,
     DomainError,
     GeneratorSpec,
@@ -263,6 +264,14 @@ def test_forked_child_leaves_workers_alone(fresh_pool):
 def test_threads_below_one_rejected():
     with pytest.raises(SpecError, match="threads"):
         run_experiment(_SPEC, runs=1, threads=0, **_KW)
+
+
+@pytest.mark.parametrize("alpha", [0, 1.5])
+def test_bad_alpha_rejected_before_any_fit(monkeypatch, alpha):
+    monkeypatch.setattr("optics_cp.inference.fit_all_candidates",
+                        lambda *args: pytest.fail("a candidate was fitted before alpha was checked"))
+    with pytest.raises(ConfigError, match=rf"^alpha must be in \(0, 1\), got {alpha}$"):
+        run_experiment(_SPEC, runs=2, alpha=alpha, **_KW)
 
 
 def _table(criteria):
