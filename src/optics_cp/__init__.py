@@ -54,7 +54,6 @@ from .sim import (
     GeneratorSpec,
     RunRecord,
     default_k_max,
-    diagnostics,
     generate,
     run_experiment,
 )

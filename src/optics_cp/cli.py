@@ -22,7 +22,7 @@ from .errors import ConfigError, DomainError, OpticsError, ParseError, ShapeErro
 from .ext import HuberConfig, optics
 from .inference import BootstrapConfig, copss_estimate
 from .scores import FAMILIES, MEAN, NETWORK, REGRESSION, ScoreModel
-from .sim import PRESETS, GeneratorSpec, default_k_max, diagnostics, run_experiment
+from .sim import PRESETS, GeneratorSpec, default_k_max, run_experiment
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -162,14 +162,24 @@ def _check_output(path: str) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if path != "-":
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # BrokenPipeError too, from a reader that closed the pipe
+        if path != "-":
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        # the failed flush kept the text in the buffer, and the flush at exit would fail
+        # again and print "Exception ignored": point the descriptor at the null device
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise ConfigError(f"cannot write to standard output: {exc.strerror or exc}") from None
 
 
 def _csv_text(records: list[dict]) -> str:
@@ -218,20 +228,25 @@ def _run_analyze(args) -> int:
 
     config_echo = {**vars(args), "seed": seed, "k_max": k_max}
     del config_echo["threads"], config_echo["output"]
-    candidates = []
+    crit = table.criterion
+    candidates, diagnostics = [], []
     for i, k in enumerate(table.candidates):
         taus = list(table.segmentations[i].taus)
         candidates.append({
             "k": k,
             "p_hat": float(table.p_hat[i]),
             "t_stat": float(table.t_stat[i]),
-            "criterion": float(table.criterion[i]),
+            "criterion": float(crit[i]),
             "in_set": k in cs.members,
             "taus": taus,
             # the half-sample boundaries of split 1 at original 1-based positions
             "taus_original_odd": [L * (2 * t - 2) + 1 for t in taus],
             "taus_original_even": [L * (2 * t - 1) + 1 for t in taus],
         })
+        # criterion rank, ties sharing the lower rank, and the excess over the best fit
+        diagnostics.append({"k": k, "criterion": float(crit[i]),
+                            "rank": 1 + int(np.count_nonzero(crit < crit[i])),
+                            "delta_to_min": float(crit[i] - crit.min())})
     doc = {
         "schema": SCHEMA,
         "config": config_echo,
@@ -246,7 +261,7 @@ def _run_analyze(args) -> int:
             "fallback_used": cs.fallback_used,
         },
         "copss": copss_estimate(table),
-        "diagnostics": diagnostics(table),
+        "diagnostics": diagnostics,
     }
 
     if args.format == "csv":

@@ -157,7 +157,8 @@ def order_preserving_l_split(ts: TimeSeries, L: int) -> list[TimeSeries]:
 
     Subsample r (r = 1..L) keeps positions r, r+L, r+2L, ...; all
     subsamples are truncated to the common length floor(n/L) so the tail
-    remainder is dropped.  Order within each subsample is preserved.
+    remainder is dropped.  Order within each subsample is preserved, and
+    each has the series' type: a score series splits into score series.
     """
     if L < 1:
         raise ConfigError(f"L must be >= 1, got {L}")
@@ -168,7 +169,7 @@ def order_preserving_l_split(ts: TimeSeries, L: int) -> list[TimeSeries]:
         )
     if ts.n % L != 0:
         logger.debug("dropping %d tail observations in %d-way split", ts.n % L, L)
-    return [TimeSeries(sub) for sub in split_like(ts.data, L)]
+    return [type(ts)(sub) for sub in split_like(ts.data, L)]
 
 
 def segment_mean_map(arr: np.ndarray, boundaries) -> np.ndarray:

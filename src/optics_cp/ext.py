@@ -1,15 +1,17 @@
 """The one pipeline entry, ``optics``, and the variants it takes as data.
 
 The base procedure, multiple splitting, Huber robustness and m-dependent
-data are one construction: the pipeline of ``inference.run_on_scores``
-on L order-preserving subsamples, with a choice of per-point fit
-measure, and the per-candidate p-values fused by equal-weight Cauchy
-combination, which stays valid under arbitrary dependence between the
-splits.  L = 1 with the squared-norm fit is the base procedure;
-multiple splitting picks L; the m-dependent variant is L = m + 1, so
-that observations within each subsample are at least m + 1 apart and
-hence independent; the Huber variant keeps L = 1 and swaps the
-squared-norm fit for a coordinatewise Huber loss.
+data are one construction: the series is transformed to scores once,
+the pipeline of ``inference.run_on_scores`` runs on each of L
+order-preserving subsamples of the scores (each transform works row by
+row, so these are the scores of the series' subsamples) with a choice
+of per-point fit measure, and the per-candidate p-values are fused by
+equal-weight Cauchy combination, valid under arbitrary dependence
+between the splits.  L = 1 with the squared-norm fit is the base
+procedure; multiple splitting picks L; the m-dependent variant is
+L = m + 1, so that observations within each subsample are at least
+m + 1 apart and hence independent; the Huber variant keeps L = 1 and
+swaps the squared-norm fit for a coordinatewise Huber loss.
 """
 
 from __future__ import annotations
@@ -97,36 +99,33 @@ def optics(
 ) -> tuple[ConfidenceSet, PValueTable]:
     """Confidence set for the number of change-points in ``ts``.
 
-    L = 1 transforms the series to scores, splits them by parity, fits
-    every candidate count on the odd half and keeps the candidates whose
-    bootstrap p-value exceeds alpha.  The per-point fit is the squared
-    norm, or the Huber loss when ``huber`` is given (an adaptive
-    threshold is set from the parity split's even half).  L > 1 runs
-    that on each order-preserving subsample r, with its covariate rows
-    and seed XOR r, and fuses the per-candidate p-values by equal-weight
-    Cauchy combination.  Multiple splitting picks L; m-dependent data
-    take L = m + 1.  Deterministic given the seed in ``cfg``
-    (``BootstrapConfig()`` when None).
+    Transforms the series to scores once, which checks the whole input
+    at any L, and splits the scores into L order-preserving subsamples.
+    On each subsample r, with seed XOR r, every candidate count is fitted
+    on the odd half of a parity split and gets a bootstrap p-value.  The
+    per-point fit is the squared norm, or the Huber loss when ``huber``
+    is given (an adaptive threshold comes from the subsample's even
+    half).  L > 1 fuses the p-values by equal-weight Cauchy combination.
+    The set keeps the candidates whose p-value exceeds alpha.  Multiple
+    splitting picks L; m-dependent data take L = m + 1.  Deterministic
+    given the seed in ``cfg`` (``BootstrapConfig()`` when None).
     """
     if cfg is None:
         cfg = BootstrapConfig()
-    if L == 1:
-        scores = transform(ts, model, covariates)
+    scores = transform(ts, model, covariates)
+    tables = []
+    for r, sub in enumerate(order_preserving_l_split(scores, L)):
         row_fit = _sq_rows
         if huber is not None:
             kappa = huber.kappa
             if huber.adaptive:
-                kappa = _adaptive_kappa(split_like(scores.data, 2)[1], huber.kappa)
+                kappa = _adaptive_kappa(split_like(sub.data, 2)[1], kappa)
             row_fit = partial(_huber_rows, kappa=kappa)
-        return run_on_scores(scores, kind, m, alpha, cfg, row_fit)
+        cs, table = run_on_scores(sub, kind, m, alpha, replace(cfg, seed=cfg.seed ^ r), row_fit)
+        tables.append(table)
+    if L == 1:
+        return cs, table
 
-    subs = order_preserving_l_split(ts, L)
-    cov_subs = split_like(np.asarray(covariates), L) if covariates is not None else [None] * L
-    tables = [
-        optics(sub, model, kind, m, alpha, replace(cfg, seed=cfg.seed ^ r), cov_subs[r],
-               huber=huber)[1]
-        for r, sub in enumerate(subs)
-    ]
     # clip to keep tan finite at the discrete bootstrap endpoints 0 and 1
     lo = 1.0 / (2.0 * cfg.b_reps)
     clipped = np.clip(np.stack([t.p_hat for t in tables]), lo, 1.0 - lo)

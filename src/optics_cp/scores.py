@@ -82,8 +82,10 @@ def transform(ts: TimeSeries, model: ScoreModel, covariates: np.ndarray | None =
     model : ScoreModel
         Selected family.
     covariates : array, optional
-        (n, d) design matrix, regression family only.
+        (n, d) design matrix, d >= 1; regression only, the others refuse it.
     """
+    if covariates is not None and model.family != REGRESSION:
+        raise ShapeError(f"the {model.family} family takes no covariates")
     z = ts.data
     if model.family == MEAN:
         return ScoreSeries(z)
@@ -101,6 +103,8 @@ def transform(ts: TimeSeries, model: ScoreModel, covariates: np.ndarray | None =
         if covariates is None:
             raise ShapeError("regression requires a covariate matrix")
         x = _as_matrix(covariates)
+        if x.shape[1] < 1:
+            raise ShapeError("regression requires at least one covariate column, got 0")
         if x.shape[0] != ts.n:
             raise ShapeError(
                 f"covariates have {x.shape[0]} rows for {ts.n} observations"

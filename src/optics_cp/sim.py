@@ -34,7 +34,7 @@ from .core import CandidateSet, TimeSeries
 from .detectors import SEGMENT_NEIGHBORHOOD, DetectorKind
 from .errors import OpticsError, SpecError
 from .ext import HuberConfig, optics
-from .inference import _SEED_MASK, BootstrapConfig, PValueTable, copss_estimate
+from .inference import _SEED_MASK, BootstrapConfig, copss_estimate
 from .scores import ScoreModel
 
 MEAN_CHANGE = "mean"
@@ -450,26 +450,6 @@ def run_experiment(
         seed=seed,
         records=tuple(records),
     )
-
-
-def diagnostics(table: PValueTable) -> list[dict]:
-    """Per-candidate criterion ranks and gaps to the best fit.
-
-    Rank is ascending by criterion value with ties sharing the lower
-    rank; delta_to_min is the criterion excess over the minimum.
-    """
-    crit = np.asarray(table.criterion)
-    best = float(crit.min())
-    out = []
-    for i, k in enumerate(table.candidates):
-        rank = 1 + int(np.count_nonzero(crit < crit[i]))
-        out.append({
-            "k": k,
-            "criterion": float(crit[i]),
-            "rank": rank,
-            "delta_to_min": float(crit[i] - best),
-        })
-    return out
 
 
 # Named experiment presets reproducing the headline coverage tables.  Each

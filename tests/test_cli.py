@@ -279,6 +279,41 @@ def test_analyze_stdout_dash(tmp_path, capsys):
     assert doc["schema"] == "optics/1"
 
 
+def _analyze_diagnostics(tmp_path, capsys):
+    """The analyze JSON's criterion column and its diagnostics rows, checked to
+    list the same candidates in the same order."""
+    csv = write_mean_csv(tmp_path / "data.csv")
+    assert main(["analyze", "--input", str(csv), "--B", "50", "--output", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows = doc["diagnostics"]
+    assert [(r["k"], r["criterion"]) for r in rows] == [(c["k"], c["criterion"])
+                                                        for c in doc["candidates"]]
+    return [c["criterion"] for c in doc["candidates"]], rows
+
+
+def test_analyze_diagnostics_ranks(tmp_path, capsys):
+    crit, rows = _analyze_diagnostics(tmp_path, capsys)
+    ranks = [r["rank"] for r in rows]
+    assert ranks == [1 + sum(other < c for other in crit) for c in crit]
+    assert sorted(ranks) == list(range(1, len(crit) + 1))
+
+
+def test_analyze_diagnostics_delta_matches_criterion_vector(tmp_path, capsys):
+    crit, rows = _analyze_diagnostics(tmp_path, capsys)
+    assert [r["delta_to_min"] for r in rows] == [c - min(crit) for c in crit]
+    assert min(r["delta_to_min"] for r in rows) == 0.0
+
+
+def test_analyze_diagnostics_ties_share_the_lower_rank(tmp_path, capsys):
+    # a constant series fits every candidate count equally well
+    csv = tmp_path / "flat.csv"
+    np.savetxt(csv, np.full(200, 2.5), delimiter=",")
+    assert main(["analyze", "--input", str(csv), "--B", "50", "--kmax", "3",
+                 "--output", "-"]) == 0
+    rows = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [(r["rank"], r["delta_to_min"]) for r in rows] == [(1, 0.0)] * 3
+
+
 def test_analyze_csv_format(tmp_path):
     csv = write_mean_csv(tmp_path / "data.csv")
     out = tmp_path / "table.csv"
@@ -599,6 +634,36 @@ def _child_env():
     src = str(Path(optics_cp.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("sink", [
+    pytest.param("/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                        reason="no /dev/full")),
+    "closed pipe",
+])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_unwritable_stdout_is_one_error_line_exit_3(tmp_path, command, sink):
+    if command == "analyze":
+        argv = ["analyze", "--input", str(write_mean_csv(tmp_path / "data.csv")), "--B", "50"]
+    else:
+        argv = ["simulate", "--preset", "tab1", "--runs", "1", "--B", "50"]
+    if sink == "closed pipe":  # a reader that exits at once
+        read, stdout = os.pipe()
+        os.close(read)
+    else:
+        stdout = os.open(sink, os.O_WRONLY)
+    # a buffered stdout, as without PYTHONUNBUFFERED, so the text the failed flush
+    # keeps would be flushed again at exit
+    env = {key: val for key, val in _child_env().items() if key != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "optics_cp", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(stdout)
+    why = "Broken pipe" if sink == "closed pipe" else "No space left on device"
+    # and no "Exception ignored" from the flush at exit
+    assert proc.stderr == f"error: cannot write to standard output: {why}\n"
+    assert proc.returncode == 3
 
 
 def test_simulate_threads_identical_output_in_subprocess(tmp_path):

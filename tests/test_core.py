@@ -4,6 +4,7 @@ import pytest
 from optics_cp import (
     CandidateSet,
     LengthError,
+    ScoreSeries,
     Segmentation,
     ShapeError,
     TimeSeries,
@@ -74,8 +75,11 @@ def test_l_split_preserves_order():
     rng = np.random.default_rng(1)
     data = rng.standard_normal(30)
     for L in [2, 3, 5]:
-        for r, sub in enumerate(order_preserving_l_split(TimeSeries(data), L)):
-            assert np.array_equal(sub.data[:, 0], data[r::L][: 30 // L])
+        # a score series splits into score series, each a contiguous copy
+        for cls in (TimeSeries, ScoreSeries):
+            for r, sub in enumerate(order_preserving_l_split(cls(data), L)):
+                assert type(sub) is cls and sub.data.flags.c_contiguous
+                assert np.array_equal(sub.data[:, 0], data[r::L][: 30 // L])
 
 
 def test_l_split_starved():

@@ -5,12 +5,15 @@ from optics_cp import (
     BootstrapConfig,
     CandidateSet,
     DetectorKind,
+    DomainError,
     HuberConfig,
     ScoreModel,
+    ShapeError,
     TimeSeries,
     cauchy_combine,
     h_optics,
     optics,
+    transform,
 )
 from conftest import huber_loss
 
@@ -163,24 +166,67 @@ def test_ms_equal_split_pvalues_combine_to_same_value():
         assert cauchy_combine([p, p]) == pytest.approx(p, abs=1e-12)
 
 
-def test_ms_regression_splits_match_hand_made_subsamples():
-    # each split of a covariate model is the base pipeline on subsample r,
-    # with covariate rows r, r+2, ... and seed XOR r
+def _family_input(family, n_obs=240):
+    """A series of the family with a change at the middle, and its covariates."""
     rng = np.random.default_rng(14)
-    x = rng.standard_normal((240, 2))
-    beta = np.repeat([[1.0, -1.0], [-1.0, 1.0]], 120, axis=0)
-    y = (x * beta).sum(axis=1) + rng.standard_normal(240)
+    half = n_obs // 2
+    if family == "regression":
+        x = rng.standard_normal((n_obs, 2))
+        beta = np.repeat([[1.0, -1.0], [-1.0, 1.0]], [half, n_obs - half], axis=0)
+        return (x * beta).sum(axis=1) + rng.standard_normal(n_obs), x
+    if family == "variance":
+        return np.repeat([1.0, 3.0], [half, n_obs - half]) * rng.standard_normal(n_obs), None
+    z = rng.standard_normal((n_obs, 2))
+    z[half:] = z[half:] @ np.array([[1.0, 0.9], [0.0, 0.5]])  # correlated after the change
+    return z, None
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("family", ["regression", "variance", "covariance"])
+def test_ms_splits_match_hand_made_subsamples(family, L):
+    # each split is the base pipeline on subsample r of the series, with its
+    # covariate rows r, r+L, ... and seed XOR r
+    z, x = _family_input(family)
     seed = 21
-    args = (ScoreModel("regression"), DetectorKind("sn", min_seg=5), CandidateSet(3), 0.1)
-    _, table = optics(TimeSeries(y), *args, BootstrapConfig(b_reps=100, seed=seed),
-                      L=2, covariates=x)
-    assert len(table.splits) == 2
+    args = (ScoreModel(family), DetectorKind("sn", min_seg=5), CandidateSet(3), 0.1)
+    _, table = optics(TimeSeries(z), *args, BootstrapConfig(b_reps=100, seed=seed),
+                      L=L, covariates=x)
+    assert len(table.splits) == L
     for r, split in enumerate(table.splits):
-        _, want = optics(TimeSeries(y[r::2]), *args, BootstrapConfig(b_reps=100, seed=seed ^ r),
-                         covariates=x[r::2])
+        _, want = optics(TimeSeries(z[r::L]), *args, BootstrapConfig(b_reps=100, seed=seed ^ r),
+                         covariates=None if x is None else x[r::L])
         for field in ("p_hat", "t_stat", "criterion", "delta_hat"):
             assert np.array_equal(getattr(split, field), getattr(want, field))
         assert split.segmentations == want.segmentations
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_optics_transforms_the_series_once(monkeypatch, L):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr("optics_cp.ext.transform", counted)
+    z, x = _family_input("regression")
+    optics(TimeSeries(z), ScoreModel("regression"), *_args(3)[1:], covariates=x, L=L)
+    assert len(calls) == 1
+
+
+def test_ms_refuses_covariate_rows_that_differ_from_the_series():
+    # split two ways, 201 covariate rows give 100 a piece, as 200 observations do;
+    # the whole input is checked before the split
+    z, x = _family_input("regression", n_obs=201)
+    with pytest.raises(ShapeError, match="^covariates have 201 rows for 200 observations$"):
+        optics(TimeSeries(z[:200]), ScoreModel("regression"), *_args(3)[1:], covariates=x, L=2)
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_variance_zero_in_the_dropped_tail_is_refused_at_any_split_count(L):
+    z = np.append(_family_input("variance", n_obs=200)[0], 0.0)
+    with pytest.raises(DomainError, match="undefined at zero observations"):
+        optics(TimeSeries(z), ScoreModel("variance"), *_args(3)[1:], L=L)
 
 
 def test_mdep_splits_series_into_independent_strides():

@@ -83,6 +83,19 @@ def test_regression_requires_matching_covariates():
         transform(ts, ScoreModel("regression"), covariates=np.zeros((3, 2)))
 
 
+def test_regression_refuses_a_covariate_matrix_with_no_columns():
+    # its scores would be the responses alone: silently the mean model
+    with pytest.raises(ShapeError, match="at least one covariate column, got 0"):
+        transform(TimeSeries(np.arange(4.0)), ScoreModel("regression"), covariates=np.zeros((4, 0)))
+
+
+@pytest.mark.parametrize("family", ["mean", "variance", "covariance", "network"])
+def test_families_without_covariates_refuse_them(family):
+    ts = TimeSeries(np.arange(1.0, 17.0).reshape(4, 4))
+    with pytest.raises(ShapeError, match=f"the {family} family takes no covariates"):
+        transform(ts, ScoreModel(family), covariates=np.ones((4, 1)))
+
+
 def test_covariance_transform_example():
     ts = TimeSeries(np.array([[1.0, 2.0], [1.0, 2.0]]))
     out = transform(ts, ScoreModel("covariance"))

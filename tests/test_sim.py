@@ -13,15 +13,12 @@ from optics_cp import (
     HuberConfig,
     OpticsError,
     SpecError,
-    diagnostics,
     generate,
     run_experiment,
 )
 from optics_cp import sim
 
 from conftest import child_count
-from optics_cp.inference import PValueTable
-from optics_cp.core import Segmentation
 
 
 def test_default_mean_design_shape():
@@ -272,40 +269,6 @@ def test_bad_alpha_rejected_before_any_fit(monkeypatch, alpha):
                         lambda *args: pytest.fail("a candidate was fitted before alpha was checked"))
     with pytest.raises(ConfigError, match=rf"^alpha must be in \(0, 1\), got {alpha}$"):
         run_experiment(_SPEC, runs=2, alpha=alpha, **_KW)
-
-
-def _table(criteria):
-    crit = np.asarray(criteria, dtype=float)
-    k = len(crit)
-    return PValueTable(
-        candidates=tuple(range(1, k + 1)),
-        p_hat=np.ones(k),
-        t_stat=np.zeros(k),
-        criterion=crit,
-        segmentations=(Segmentation(taus=(), n=10, min_seg=2),) * k,
-        delta_hat=np.zeros((k, k)),
-        n=10,
-    )
-
-
-def test_diagnostics_ranks():
-    rows = diagnostics(_table([3.0, 1.0, 2.0]))
-    assert [r["rank"] for r in rows] == [3, 1, 2]
-    assert rows[1]["delta_to_min"] == 0.0
-    assert rows[0]["delta_to_min"] == pytest.approx(2.0)
-
-
-def test_diagnostics_ties_share_lower_rank():
-    rows = diagnostics(_table([1.0, 1.0, 1.0]))
-    assert [r["rank"] for r in rows] == [1, 1, 1]
-
-
-def test_diagnostics_delta_matches_criterion_vector():
-    crit = [2.5, 1.5, 4.0]
-    rows = diagnostics(_table(crit))
-    best = min(crit)
-    for r, c in zip(rows, crit):
-        assert r["delta_to_min"] == pytest.approx(c - best)
 
 
 def test_multi_split_large_sample_coverage():
