@@ -22,6 +22,8 @@ The studentized rows xi_KJ / rms(xi_KJ) are built once per unordered pair
 of candidates, since the row of (J, K) is that of (K, J) reversed; each
 candidate gathers its rival rows with a sign, a reversed value written
 0.0 - x so that a zero stays +0.0, as the per-candidate chain gives it.
+They are never held whole: the bootstrap builds them from the K fit rows
+one column slice at a time, so memory is O(K n), not O(K^2 n).
 
 Numerical determinism: the studentized ratios are snapped to a fixed
 2^-13 grid, which makes T_K and the bootstrap p-values exactly invariant
@@ -30,10 +32,10 @@ replicate b come from a Philox counter stream keyed by (seed, b).  The
 bootstrap pins numpy's OpenBLAS to one thread and shares chunks of
 replicates out over the T threads it had, the caller and T - 1 helpers;
 every chunk has one shape at any T, so the p-values depend neither on T
-nor on ``OPENBLAS_NUM_THREADS``.  A chunk is multiplied one column slice at a
-time, one product per slice summed over the slices.  The p-values can
-still depend on the BLAS build and on the chunk and slice shape, through
-the last bits of the products.
+nor on ``OPENBLAS_NUM_THREADS``.  The chunks run one column slice at a time,
+and a chunk adds its products in slice order.  The p-values can still
+depend on the BLAS build and on the chunk and slice shape, through the
+last bits of the products.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ _TILE_BYTES = 1 << 20
 _CHUNK_REPS = 128
 _SLICE = 4096
 
-# The threads' tile buffers together stay within this many bytes, which caps
-# the thread count, so bootstrap memory does not grow with the machine's cores.
+# The threads' tiles and slice rows together stay within this many bytes, which
+# caps the thread count, so bootstrap memory does not grow with the machine's cores.
 _BUFFERS_BYTES = 16 << 20
 
 
@@ -195,24 +197,26 @@ def _fit_rows(odd: np.ndarray, even: np.ndarray, seg: Segmentation,
     return fit
 
 
-def _snap(rows: np.ndarray) -> np.ndarray:
-    """Round rows in place to the 2^-13 grid."""
+def _studentized(rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Divide rows in place by their root mean squares and round them to the
+    2^-13 grid; rows whose root mean square is 0 become zero.  Every step is
+    elementwise, so a column slice of the rows comes out bit for bit."""
+    nz = sigma > 0
+    np.divide(rows, np.where(nz, sigma, 1.0)[:, None], out=rows)
     rows *= _STUDENT_GRID
-    return np.divide(np.round(rows, out=rows), _STUDENT_GRID, out=rows)
+    np.divide(np.round(rows, out=rows), _STUDENT_GRID, out=rows)
+    rows[~nz] = 0.0
+    return rows
 
 
 def _studentize(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Studentize criterion-difference rows in place, snapped to the grid,
     and return their means and root mean squares.  The squares are formed one
-    row at a time, so no temporary of the rows' size is made; rows whose root
-    mean square is 0 become zero."""
+    row at a time, so no temporary of the rows' size is made."""
     delta = rows.mean(axis=1)
     sq = np.empty(rows.shape[1])
     sigma = np.sqrt(np.array([np.multiply(row, row, out=sq).mean() for row in rows]))
-    nz = sigma > 0
-    np.divide(rows, np.where(nz, sigma, 1.0)[:, None], out=rows)
-    _snap(rows)
-    rows[~nz] = 0.0
+    _studentized(rows, sigma)
     return delta, sigma
 
 
@@ -262,6 +266,20 @@ def _signed(rows: np.ndarray, gather: np.ndarray) -> np.ndarray:
     return np.concatenate((rows, np.subtract(0.0, rows)))[gather]
 
 
+class _PhiloxKey:
+    """A seed sequence that hands a Philox its two key words as they are:
+    ``Philox(_PhiloxKey(w))`` gives the stream of ``Philox(key=w)`` in about a
+    third of the time, without the OS entropy that the latter draws for a seed
+    sequence it never uses.  It is registered as numpy's ``ISeedSequence`` when
+    first used, so that importing this module does not import ``numpy.random``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def _tile(n: int, b_reps: int) -> tuple[int, list[tuple[int, int]]]:
     """Replicates per chunk, and the (lo, hi) column slices a chunk runs through."""
     parts = -(-n // _SLICE)
@@ -270,81 +288,96 @@ def _tile(n: int, b_reps: int) -> tuple[int, list[tuple[int, int]]]:
     return reps, list(zip(edges, edges[1:]))
 
 
-def _bootstrap(stud: np.ndarray, gather: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig,
-               n: int) -> np.ndarray:
+def _bootstrap(rows: Callable[[int, int, np.ndarray], np.ndarray], pairs: int,
+               gather: np.ndarray, t_obs: np.ndarray, cfg: BootstrapConfig, n: int) -> np.ndarray:
     """Bootstrap p-values of len(t_obs) candidates at once.
 
-    ``stud`` holds studentized rows, and row g of ``gather`` indexes candidate
-    g's rival rows among them, signed as in ``_signed``.  Replicates run in
-    chunks, and a chunk in column slices (``_tile``): one product per slice
-    over all rows, summed over the slices, then each candidate's max over its
-    gathered rows.  The chunks are shared out over threads, and an error in
+    ``rows(a, b, buf)`` gives the ``pairs`` studentized rows of columns a:b,
+    built in the flat ``buf`` or held elsewhere; row g of ``gather`` indexes
+    candidate g's rival rows among them, signed as in ``_signed``.  Replicates
+    run in chunks (``_tile``), all chunks one column slice at a time: each
+    thread builds the slice's rows and multiplies the tiles of the chunks it
+    takes, and all finish a slice before any starts the next.  An error in
     any thread stops the others after their current chunk and is raised here.
     """
     if cfg.injected is not None and cfg.injected.shape[1] != n:
         raise ConfigError(f"injected multipliers have length {cfg.injected.shape[1]}, expected {n}")
-    if stud.shape[0] == 0:
+    if pairs == 0:
         # nothing to compare against: no candidate can be rejected
         return np.ones(len(t_obs))
     b_reps, seed = cfg.b_reps, cfg.seed & _SEED_MASK
     reps, slices = _tile(n, b_reps)
     widths = {hi - lo for lo, hi in slices}
     starts = range(0, b_reps, reps)
-    tickets = itertools.count()  # the next chunk to take; next() on it is atomic
+    tickets = [itertools.count() for _ in slices]  # a slice's next chunk; next() is atomic
+    sums = [None] * len(starts)  # each chunk's (pairs x R) sums over the slices so far
+    gens = [None] * b_reps if len(slices) > 1 else None  # one per replicate, made at slice 0
+    if gens is not None:
+        np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
     stop = threading.Event()
     results, errors = [], []
 
     def count_chunks():
         try:
-            # this thread's tile buffer with its rows built once, generators and counts
+            # this thread's slice rows, tile buffer with its rows built once, generator, counts
             counts = np.zeros(len(t_obs), dtype=np.int64)
+            slab = np.empty(pairs * max(widths))
             if cfg.injected is None:
                 buf = np.empty(reps * max(widths))
                 views = {w: list(buf[: reps * w].reshape(reps, w)) for w in widths}
-                # a generator is re-keyed to (seed, b) with a zero counter and an empty
-                # buffer at replicate b's first slice, the stream of a fresh
-                # Philox(key=(seed, b)), and carries it on to b's later slices: one
-                # generator per replicate of a chunk, or one in all for a single slice
-                gens = [np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
-                        for _ in range(reps if len(slices) > 1 else 1)]
-                state = gens[0].bit_generator.state
+                # re-keyed to (seed, b) with a zero counter and an empty buffer, the
+                # generator gives the stream of a fresh Philox(key=(seed, b))
+                gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
+                state = gen.bit_generator.state
                 # Python ints, which the state setter reads faster than arrays
                 state["state"] = {k: v.tolist() for k, v in state["state"].items()}
                 state["buffer"] = state["buffer"].tolist()
                 key = state["state"]["key"]
-            while not stop.is_set() and (i := next(tickets)) < len(starts):
-                lo = starts[i]
-                c = min(reps, b_reps - lo)
-                acc = None
-                for a, b in slices:
+            for s, (a, b) in enumerate(slices):
+                if s:
+                    barrier.wait()
+                part_rows = rows(a, b, slab)
+                while not stop.is_set() and (i := next(tickets[s])) < len(starts):
+                    lo = starts[i]
+                    c = min(reps, b_reps - lo)
                     if cfg.injected is not None:
                         tile = cfg.injected[lo : lo + c, a:b]
                     else:
                         tile = buf[: c * (b - a)].reshape(c, b - a)
-                        for j, row in zip(range(c), views[b - a]):
-                            gen = gens[j % len(gens)]
-                            if a == 0:
-                                key[1] = lo + j
+                        for j, row in zip(range(lo, lo + c), views[b - a]):
+                            if gens is None:
+                                key[1] = j
                                 gen.bit_generator.state = state
-                            gen.standard_normal(out=row)
-                    part = stud[:, a:b] @ tile.T
-                    acc = part if acc is None else np.add(acc, part, out=acc)
-                t_sharp = _signed(acc / math.sqrt(n), gather).max(axis=1)
-                counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
+                            elif a == 0:  # replicate j's own, carried on to its later slices
+                                key_j = _PhiloxKey(np.array([seed, j], np.uint64))
+                                gens[j] = np.random.Generator(np.random.Philox(key_j))
+                            (gen if gens is None else gens[j]).standard_normal(out=row)
+                    part = part_rows @ tile.T
+                    acc = part if a == 0 else np.add(sums[i], part, out=sums[i])
+                    if b < n:  # carried on to the chunk's next slice
+                        sums[i] = acc
+                    else:
+                        t_sharp = _signed(acc / math.sqrt(n), gather).max(axis=1)
+                        counts += np.count_nonzero(t_sharp > t_obs[:, None], axis=1)
             results.append(counts)
         except BaseException as exc:  # re-raised by the caller once no thread runs
             errors.append(exc)
             stop.set()
+            barrier.abort()  # the threads it lets go add their BrokenBarrierError after exc
 
     # the caller and up to T - 1 helpers, T being numpy's BLAS thread count
-    budget = _BUFFERS_BYTES // (8 * reps * max(widths))
+    budget = _BUFFERS_BYTES // (8 * (reps + pairs) * max(widths))
     with blas.single_thread() as threads:
         helpers = [threading.Thread(target=count_chunks, daemon=True)
                    for _ in range(min(threads, len(starts), budget) - 1)]
+        barrier = threading.Barrier(len(helpers) + 1)
         try:
             for t in helpers:
                 t.start()
             count_chunks()
+        except BaseException:
+            barrier.abort()  # no helper may wait for a caller that left
+            raise
         finally:
             stop.set()
             for t in helpers:  # a second Ctrl-C must not leave a helper inside numpy
@@ -362,7 +395,8 @@ def bootstrap_pvalue(xm: XiMatrix, cfg: BootstrapConfig) -> float:
     """Share of multiplier replicates whose statistic strictly exceeds the
     observed one.  Deterministic given the seed."""
     gather = np.arange(len(xm.rivals))[None, :]
-    return float(_bootstrap(xm.studentized, gather, np.array([test_statistic(xm)]), cfg, xm.n)[0])
+    return float(_bootstrap(lambda a, b, buf: xm.studentized[:, a:b], len(xm.rivals), gather,
+                            np.array([test_statistic(xm)]), cfg, xm.n)[0])
 
 
 def _check_alpha(alpha: float) -> None:
@@ -411,24 +445,36 @@ def run_on_scores(
     # one studentized row per pair of candidates i < j, in (i, j) order; row i
     # of ``gather`` holds the ``_signed`` indices of candidate i's rival rows
     pairs = n_cand * r // 2
+    first, second = np.triu_indices(n_cand, 1)
     index = np.zeros((n_cand, n_cand), dtype=np.intp)
-    index[np.triu_indices(n_cand, 1)] = np.arange(pairs)
+    index[first, second] = np.arange(pairs)
     index += np.tril(index.T + pairs, -1)  # (j, i) is (i, j) reversed
     off = ~np.eye(n_cand, dtype=bool)
     gather = index[off].reshape(n_cand, r)
-    stud = np.empty((pairs, n))
-    delta_pairs = np.empty(pairs)
-    for i in range(r):
-        rows = slice(gather[i, i], gather[i, -1] + 1)  # its pairs with the later candidates
-        xi = np.subtract(fits[i], fits[i + 1 :], out=stud[rows])
-        delta_pairs[rows] = _studentize(xi)[0]
+
+    def differences(p, q, a, b, buf):
+        """Pair rows p:q of fit differences, columns a:b, in the flat ``buf``."""
+        out = buf[: (q - p) * (b - a)].reshape(q - p, b - a)
+        for row, i, j in zip(out, first[p:q], second[p:q]):
+            np.subtract(fits[i, a:b], fits[j, a:b], out=row)
+        return out
+
+    # the pair rows' means, root mean squares and snapped sums, in blocks of whole rows
+    delta_pairs, sigma, sums = np.empty((3, pairs))
+    block = max(1, _TILE_BYTES // (8 * n))
+    buf = np.empty(min(block, pairs) * n)
+    for p in range(0, pairs, block):
+        rows = differences(p, min(p + block, pairs), 0, n, buf)
+        delta_pairs[p : p + block], sigma[p : p + block] = _studentize(rows)
+        sums[p : p + block] = rows.sum(axis=1)
+    buf = rows = None  # the bootstrap then holds the fits, its slice rows and its tiles
     delta = np.zeros((n_cand, n_cand))
     delta[off] = _signed(delta_pairs, gather).ravel()
-    del fits  # the bootstrap then holds only the pair rows and its tile buffers
 
     # with no rivals the statistic is 0 by convention, as in test_statistic
-    t_stat = _signed(stud.sum(axis=1) / math.sqrt(n), gather).max(axis=1) if r else np.zeros(1)
-    p_hat = _bootstrap(stud, gather, t_stat, cfg, n)
+    t_stat = _signed(sums / math.sqrt(n), gather).max(axis=1) if r else np.zeros(1)
+    p_hat = _bootstrap(lambda a, b, buf: _studentized(differences(0, pairs, a, b, buf), sigma),
+                       pairs, gather, t_stat, cfg, n)
 
     table = PValueTable(
         candidates=candidates,

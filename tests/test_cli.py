@@ -783,6 +783,35 @@ def test_analyze_sigint_in_bootstrap_exit_130(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_analyze_bs_peak_memory_is_linear_in_the_input(tmp_path):
+    # 256,000 rows of a four-change mean: 11 candidates on 128,000 points hold
+    # 11 MB of fit rows; all 55 studentized pair rows, 56 MB, took the peak RSS
+    # 71 MiB above the RSS after import
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    n = 256_000
+    rng = np.random.default_rng([20260, n, 0])
+    y = (0.5 + rng.random()) * (-1.0) ** np.repeat(np.arange(5), n // 5) + rng.standard_normal(n)
+    csv, out = tmp_path / "big.csv", tmp_path / "out.json"
+    np.savetxt(csv, y, fmt="%.6f")
+    script = tmp_path / "child.py"
+    script.write_text(
+        "from optics_cp.cli import main\n"
+        "def status(field):\n"
+        "    with open('/proc/self/status', encoding='ascii') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith(field + ':'))\n"
+        "after_import = status('VmRSS')\n"
+        f"code = main(['analyze', '--input', {str(csv)!r}, '--detector', 'bs', "
+        f"'--output', {str(out)!r}])\n"
+        "print(code, after_import, status('VmHWM'))\n"
+    )
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    code, after_import, peak = map(int, proc.stdout.split())
+    assert code == 0 and json.loads(out.read_text())
+    assert (peak - after_import) / 1024 < 40  # MiB
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--alpha", "1.5"], "alpha must be in (0, 1)"),
     (["--alpha", "nan"], "alpha must be in (0, 1)"),

@@ -495,17 +495,18 @@ def test_bootstrap_memory_independent_of_threads(force_threads):
     assert peak < inference._BUFFERS_BYTES + (8 << 20)
 
 
-def test_bootstrap_memory_holds_one_row_per_pair(force_threads):
-    # one studentized row per unordered pair of the K = 10 candidates and one
-    # tile buffer, the fits being freed before the bootstrap; a layout of
-    # K(K - 1) rows holds at least twice the pair rows, past the bound
+def test_bootstrap_memory_holds_the_fits_and_one_slice_of_pair_rows(force_threads):
+    # the K = 14 fit rows, one thread's studentized pair rows of one column
+    # slice and its tile: O(K n), where holding all K(K - 1)/2 pair rows of
+    # n points (14.6 MB here) is past the bound
     from optics_cp import inference
 
     force_threads(1)  # one tile buffer
-    n_half, k = 16_000, 10
-    pair_bytes = k * (k - 1) // 2 * n_half * 8
-    bound = pair_bytes + inference._TILE_BYTES + (1 << 20)
-    assert bound < 2 * pair_bytes
+    n_half, k = 20_000, 14
+    pairs = k * (k - 1) // 2
+    widest = max(b - a for a, b in inference._tile(n_half, 500)[1])
+    bound = k * n_half * 8 + pairs * widest * 8 + inference._TILE_BYTES + (1 << 20)
+    assert pairs * n_half * 8 > bound
     assert _bootstrap_peak(n_half, 500, k_max=k) < bound
 
 
@@ -524,22 +525,25 @@ def test_bootstrap_memory_at_small_n_holds_one_capped_chunk(force_threads):
 
 @pytest.mark.parametrize("n_half", [4_000, 32_000])
 def test_bootstrap_tile_does_not_grow_with_n(force_threads, n_half):
-    # with one thread the bootstrap holds the pair rows, made here before
-    # tracing starts, and one tile of at most 1 MiB: whole rows of 128
-    # replicates would take 4.1 MB at 4,000 points and 32.8 MB at 32,000
+    # with one thread the bootstrap holds the rows, made here before tracing
+    # starts, one tile of at most 1 MiB and a buffer for one column slice of the
+    # rows: whole rows of 128 replicates would take 4.1 MB at 4,000 points and
+    # 32.8 MB at 32,000
     import tracemalloc
 
     from optics_cp import inference
 
     force_threads(1)  # one tile buffer
     stud, gather, t_obs = _rows(k=8, n=n_half)
+    widest = max(b - a for a, b in inference._tile(n_half, 500)[1])
     tracemalloc.start()
     try:
-        inference._bootstrap(stud, gather, t_obs, BootstrapConfig(b_reps=500, seed=1), n_half)
+        inference._bootstrap(*_stored(stud), gather, t_obs, BootstrapConfig(b_reps=500, seed=1),
+                             n_half)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= inference._TILE_BYTES + (1 << 20)
+    assert peak <= inference._TILE_BYTES + len(stud) * widest * 8 + (1 << 20)
 
 
 # --- pair rows against the per-candidate chain ---------------------------------
@@ -615,6 +619,74 @@ def test_equal_fits_give_no_negative_zero(detector):
     assert table.p_hat.tolist() == [0.0] * 8  # every replicate ties at 0, none exceeds
 
 
+def _materialized(scores, kind, m, cfg):
+    """p_hat, t_stat and delta_hat with all (pairs x n) studentized rows held in
+    memory, as run_on_scores once formed them, sent through the same
+    ``_bootstrap``, whose GEMM then reads each slice of them with a stride of n."""
+    from optics_cp import inference
+    from optics_cp.core import split_like
+    from optics_cp.detectors import fit_all_candidates
+
+    odd, even = split_like(scores.data, 2)
+    n = odd.shape[0]
+    segs = fit_all_candidates(odd, m, kind)
+    k = len(segs)
+    fits = np.array([inference._fit_rows(odd, even, segs[c], inference._sq_rows)
+                     for c in sorted(segs)]).reshape(k, n)
+    gather = _pair_gather(k)
+    stud = np.empty((k * (k - 1) // 2, n))
+    delta_pairs = np.empty(len(stud))
+    for i in range(k - 1):  # candidate i's rows with the later candidates
+        rows = slice(gather[i, i], gather[i, -1] + 1)
+        xi = np.subtract(fits[i], fits[i + 1 :], out=stud[rows])
+        delta_pairs[rows] = inference._studentize(xi)[0]
+    delta = np.zeros((k, k))
+    delta[~np.eye(k, dtype=bool)] = inference._signed(delta_pairs, gather).ravel()
+    t_stat = (inference._signed(stud.sum(axis=1) / np.sqrt(n), gather).max(axis=1) if k > 1
+              else np.zeros(1))
+    return inference._bootstrap(*_stored(stud), gather, t_stat, cfg, n), t_stat, delta
+
+
+def _equal_fits_scores(n_half, seed=5):
+    """An odd half exactly piecewise constant with two changes, so every
+    candidate from 2 up fits it exactly: their fits are equal, and each pair of
+    them has a zero row whose root mean square is 0."""
+    level = np.repeat([0.0, 3.0, -1.0], [n_half // 3, n_half // 3, n_half - 2 * (n_half // 3)])
+    data = np.empty(2 * n_half)
+    data[0::2] = level
+    data[1::2] = level + np.random.default_rng(seed).standard_normal(n_half)
+    return ScoreSeries(data)
+
+
+@pytest.mark.parametrize("data", ["noisy", "equal_fits"])
+@pytest.mark.parametrize("n_half", [40, 80, 360])
+def test_pair_statistics_match_the_materialized_rows(monkeypatch, force_threads, n_half, data):
+    # run_on_scores keeps the K fit rows and builds each column slice of the
+    # pair rows when the bootstrap reaches it, into one buffer of S columns per
+    # thread; the oracle holds all the rows.  One, two and nine slices of at
+    # most 40 points, on 1 to 4 threads, with the statistics taken over blocks
+    # of many pair rows or of one
+    from optics_cp import inference
+    from optics_cp.inference import run_on_scores
+
+    monkeypatch.setattr(inference, "_SLICE", 40)
+    assert len(inference._tile(n_half, 45)[1]) == {40: 1, 80: 2, 360: 9}[n_half]
+    scores = _noisy_scores(60, n=2 * n_half) if data == "noisy" else _equal_fits_scores(n_half)
+    kind, m = DetectorKind("sn", min_seg=3), CandidateSet(6)
+    for threads, tile_bytes in itertools.product((1, 2, 3, 4), (1 << 20, 8 * 40 * 3)):
+        force_threads(threads)
+        monkeypatch.setattr(inference, "_TILE_BYTES", tile_bytes)
+        cfg = BootstrapConfig(b_reps=45, seed=n_half + threads)
+        _, table = run_on_scores(scores, kind, m, 0.1, cfg)
+        p_hat, t_stat, delta = _materialized(scores, kind, m, cfg)
+        assert table.p_hat.tobytes() == p_hat.tobytes()
+        assert table.t_stat.tobytes() == t_stat.tobytes()
+        assert table.delta_hat.tobytes() == delta.tobytes()
+    assert 0 < table.p_hat.sum() < len(table.p_hat)
+    if data == "equal_fits":
+        assert table.delta_hat[1, 2:].tolist() == [0.0] * 4
+
+
 # --- the threaded bootstrap ------------------------------------------------------
 
 _HALF = 120
@@ -627,6 +699,12 @@ def _rows(k=4, n=_HALF, seed=0):
     rng = np.random.default_rng(seed)
     stud = np.round(rng.standard_normal((k * (k - 1) // 2, n)) * 8192.0) / 8192.0
     return stud, _pair_gather(k), np.linspace(0.5, 2.5, k)
+
+
+def _stored(stud):
+    """``_bootstrap``'s row source and row count for rows held in memory, as
+    ``bootstrap_pvalue`` passes them."""
+    return (lambda a, b, buf: stud[:, a:b]), len(stud)
 
 
 def _pair_gather(k):
@@ -662,8 +740,8 @@ def test_threaded_bootstrap_bit_equal_across_threads_and_chunks(monkeypatch, for
         monkeypatch.setattr(inference, "_CHUNK_REPS", cap)
         for threads in (1, 2, 3, 4) if width == uncapped else (next(turn),):
             force_threads(threads)
-            results[width, reps, cap, threads] = inference._bootstrap(stud, gather, t_obs, cfg,
-                                                                      _HALF).tobytes()
+            results[width, reps, cap, threads] = inference._bootstrap(
+                *_stored(stud), gather, t_obs, cfg, _HALF).tobytes()
     assert len(results) == 64 + 48 and len(set(results.values())) == 1
     assert 0 < np.frombuffer(results[1, 3, 1, 1]).sum() < len(t_obs)  # counts neither all nor none
 
@@ -678,10 +756,11 @@ def test_one_thread_bootstrap_starts_no_thread(monkeypatch, force_threads):
     stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=130, seed=3)
     force_threads(3)
-    want = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
+    want = inference._bootstrap(*_stored(stud), gather, t_obs, cfg, _HALF)
     monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
     force_threads(1)
-    assert inference._bootstrap(stud, gather, t_obs, cfg, _HALF).tobytes() == want.tobytes()
+    got = inference._bootstrap(*_stored(stud), gather, t_obs, cfg, _HALF)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_threaded_bootstrap_leaves_the_cpu_affinity_alone(monkeypatch, force_threads):
@@ -699,30 +778,35 @@ def test_threaded_bootstrap_leaves_the_cpu_affinity_alone(monkeypatch, force_thr
     monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF * 5)
     stud, gather, t_obs = _rows()
     force_threads(2)
-    inference._bootstrap(stud, gather, t_obs, BootstrapConfig(b_reps=130, seed=3), _HALF)
+    inference._bootstrap(*_stored(stud), gather, t_obs, BootstrapConfig(b_reps=130, seed=3), _HALF)
     assert os.sched_getaffinity(0) == mask
 
 
 def test_threaded_bootstrap_stress_more_threads_than_cores(monkeypatch, force_threads):
-    # 8 threads take 400 one-replicate chunks from the shared counter, switching
-    # as often as the interpreter allows: a chunk taken twice or lost moves a count
+    # 8 threads take 400 one-replicate chunks from the shared counter, in one
+    # slice or in three with a barrier between them, switching as often as the
+    # interpreter allows: a chunk taken twice or lost, or a slice's sums or
+    # stream carried on from the wrong place, moves a count
     import sys
 
     from optics_cp import inference
 
     stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=400, seed=5)
-    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF)
-    force_threads(1)
-    serial = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
-    force_threads(8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            assert np.array_equal(inference._bootstrap(stud, gather, t_obs, cfg, _HALF), serial)
-    finally:
-        sys.setswitchinterval(interval)
+    for width in (_HALF, 40):
+        monkeypatch.setattr(inference, "_SLICE", width)
+        monkeypatch.setattr(inference, "_TILE_BYTES", 8 * width)
+        force_threads(1)
+        serial = inference._bootstrap(*_stored(stud), gather, t_obs, cfg, _HALF)
+        force_threads(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = inference._bootstrap(*_stored(stud), gather, t_obs, cfg, _HALF)
+                assert np.array_equal(got, serial)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _watched(stud, fail):
@@ -767,7 +851,8 @@ def test_threaded_bootstrap_error_stops_every_thread(monkeypatch, force_threads,
     watched, chunks = _watched(stud, fail)
     threads_before, count_before = set(threading.enumerate()), blas_count()
     with pytest.raises(type(error)) as info:
-        inference._bootstrap(watched, gather, t_obs, BootstrapConfig(b_reps=300, seed=1), _HALF)
+        inference._bootstrap(*_stored(watched), gather, t_obs, BootstrapConfig(b_reps=300, seed=1),
+                             _HALF)
     assert info.value is error
     assert set(threading.enumerate()) == threads_before
     assert blas_count() == count_before
@@ -801,11 +886,57 @@ def test_interrupt_while_joining_waits_for_every_helper(monkeypatch, force_threa
     monkeypatch.setattr(threading.Thread, "join", join)
     threads_before, count_before = set(threading.enumerate()), blas_count()
     with pytest.raises(KeyboardInterrupt):
-        inference._bootstrap(watched, gather, t_obs, BootstrapConfig(b_reps=20, seed=1), _HALF)
+        inference._bootstrap(*_stored(watched), gather, t_obs, BootstrapConfig(b_reps=20, seed=1),
+                             _HALF)
     assert interrupted == [True]
     assert set(threading.enumerate()) == threads_before
     assert blas_count() == count_before
     assert sum(chunks.values()) == 20  # every chunk was finished
+
+
+@pytest.mark.parametrize("who", ["helper", "caller"])
+def test_error_in_a_later_slice_releases_the_threads_at_the_barrier(monkeypatch, force_threads,
+                                                                    who):
+    # a helper's error, or an interrupt in the caller, in slice 2 of 3, raised
+    # after the other threads took all of slice 2's chunks and wait for it at
+    # the barrier before slice 3: they are let go, and the error itself is
+    # raised, never a BrokenBarrierError
+    import threading
+    import time
+
+    from optics_cp import inference
+
+    monkeypatch.setattr(inference, "_SLICE", 40)
+    monkeypatch.setattr(inference, "_TILE_BYTES", 8 * 40)  # one replicate per chunk
+    assert inference._tile(_HALF, 300)[1] == [(0, 40), (40, 80), (80, 120)]
+    force_threads(3)
+    stud, gather, t_obs = _rows()
+    error = RuntimeError("slice 2") if who == "helper" else KeyboardInterrupt()
+    once, caller, outcome = itertools.count(), [], []
+
+    def rows(a, b, buf):
+        if (threading.get_ident() == caller[0]) == (who == "caller") and a == 40 \
+                and next(once) == 0:
+            time.sleep(0.2)
+            raise error
+        return stud[:, a:b]
+
+    def call():  # the caller, in a thread of its own, so that a hang fails the test
+        caller.append(threading.get_ident())
+        try:
+            inference._bootstrap(rows, len(stud), gather, t_obs,
+                                 BootstrapConfig(b_reps=300, seed=1), _HALF)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    threads_before, count_before = set(threading.enumerate()), blas_count()
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert len(outcome) == 1 and outcome[0] is error
+    assert set(threading.enumerate()) == threads_before
+    assert blas_count() == count_before
 
 
 def test_threaded_bootstrap_without_openblas_runs_serially(monkeypatch):
@@ -816,10 +947,11 @@ def test_threaded_bootstrap_without_openblas_runs_serially(monkeypatch):
     monkeypatch.setattr(inference, "_TILE_BYTES", 8 * _HALF * 5)
     stud, gather, t_obs = _rows()
     cfg = BootstrapConfig(b_reps=60, seed=2)
-    want = inference._bootstrap(stud, gather, t_obs, cfg, _HALF)
+    want = inference._bootstrap(*_stored(stud), gather, t_obs, cfg, _HALF)
     monkeypatch.setattr(blas, "_thread_calls", lambda: None)
     watched, chunks = _watched(stud, lambda me, chunk: None)
-    assert np.array_equal(inference._bootstrap(watched, gather, t_obs, cfg, _HALF), want)
+    got = inference._bootstrap(*_stored(watched), gather, t_obs, cfg, _HALF)
+    assert np.array_equal(got, want)
     assert list(chunks) == [threading.get_ident()] and chunks[threading.get_ident()] == 12
 
 
